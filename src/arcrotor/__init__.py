@@ -9,19 +9,11 @@ from .counters import OpCounters
 from .numerics import (
     EXACT,
     FLOAT64_DEGREES,
-    AngleResidue,
-    ApproxAngle,
     InvalidModulusError,
-    ModeMismatchError,
     NumericMode,
-    angles_equal,
     default_tolerance,
     fixed_point,
     parse_mode,
-    project,
-    reduce_by_subtraction,
-    scale_angle,
-    to_approx,
 )
 from .oracles import (
     NotAUnitError,
@@ -68,8 +60,6 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleResidue",
-    "ApproxAngle",
     "CSV_COLUMNS",
     "DlogInstance",
     "EXACT",
@@ -81,7 +71,6 @@ __all__ = [
     "InsufficientDataError",
     "InvalidInstanceError",
     "InvalidModulusError",
-    "ModeMismatchError",
     "NotAUnitError",
     "NumericMode",
     "OpCounters",
@@ -93,7 +82,6 @@ __all__ = [
     "SolveReport",
     "SweepConfig",
     "SweepRecord",
-    "angles_equal",
     "bsgs_solve",
     "default_tolerance",
     "emit_results",
@@ -110,13 +98,9 @@ __all__ = [
     "oracle_solve",
     "parse_mode",
     "precision_scan",
-    "project",
-    "reduce_by_subtraction",
     "rotor_solve_int",
     "rotor_solve_real",
     "rotor_step",
     "run_sweep",
-    "scale_angle",
-    "to_approx",
     "verify_equivalence",
 ]

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode
+from .numerics import EXACT, NumericMode, check_tolerance
 from .oracles import bsgs_solve, modpow, naive_solve
 from .rotor import (
     DlogInstance,
@@ -140,42 +140,47 @@ def _child_seed(seed: int, p: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_rotor_real(inst: DlogInstance, mode: NumericMode, tol: float | None) -> SolveReport:
-    return rotor_solve_real(inst, mode, tol)
+ALGORITHMS = ("bsgs", "naive", "rotor-int", "rotor-real")
 
 
-def _run_rotor_int(inst: DlogInstance, mode: NumericMode, tol: float | None) -> SolveReport:
-    return rotor_solve_int(inst)
+def check_solver_options(algo: str, mode: NumericMode, tolerance: float | None) -> None:
+    """Reject an unknown algo, and a mode or tolerance the algo would ignore.
+
+    Only rotor-real reads the mode and the tolerance; the others always
+    answer in exact arithmetic.  Each message starts with the name of the
+    offending setting.
+    """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"algo {algo!r} is unknown, expected one of {list(ALGORITHMS)}")
+    if algo != "rotor-real":
+        if not mode.is_exact:
+            raise ValueError(f"mode {mode} applies to algo rotor-real only, not {algo}")
+        if tolerance is not None:
+            raise ValueError(f"tolerance applies to algo rotor-real only, not {algo}")
+    check_tolerance(tolerance)
 
 
-def _run_naive(inst: DlogInstance, mode: NumericMode, tol: float | None) -> SolveReport:
-    return _wrap_oracle(naive_solve(inst))
-
-
-def _run_bsgs(inst: DlogInstance, mode: NumericMode, tol: float | None) -> SolveReport:
-    return _wrap_oracle(bsgs_solve(inst))
-
-
-def _wrap_oracle(k: int | None) -> SolveReport:
+def solve(
+    algo: str, inst: DlogInstance, mode: NumericMode = EXACT, tolerance: float | None = None
+) -> SolveReport:
+    """Run the named solver on one instance; oracle answers carry zero counters."""
+    if algo == "rotor-real":
+        return rotor_solve_real(inst, mode, tolerance)
+    if algo == "rotor-int":
+        return rotor_solve_int(inst)
+    if algo == "naive":
+        k = naive_solve(inst)
+    elif algo == "bsgs":
+        k = bsgs_solve(inst)
+    else:
+        raise ValueError(f"algo {algo!r} is unknown, expected one of {list(ALGORITHMS)}")
     reason = SolveReason.FOUND if k is not None else SolveReason.EXHAUSTED_ITERATIONS
     return SolveReport(k, reason, OpCounters(), 0)
 
 
-ALGORITHMS = {
-    "rotor-real": _run_rotor_real,
-    "rotor-int": _run_rotor_int,
-    "naive": _run_naive,
-    "bsgs": _run_bsgs,
-}
-
-
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of one measurement sweep over a modulus range.
-
-    ``n_definition`` names the default reading of n for downstream fits;
-    fits can still be taken against any definition from the same records.
-    """
+    """Configuration of one measurement sweep over a modulus range."""
 
     p_min: int
     p_max: int
@@ -184,7 +189,6 @@ class SweepConfig:
     prime_only: bool = True
     algo: str = "rotor-int"
     mode: NumericMode = EXACT
-    n_definition: str = "p"
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
@@ -194,12 +198,7 @@ class SweepConfig:
             )
         if self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")
-        if self.algo not in ALGORITHMS:
-            raise ValueError(f"unknown algo {self.algo!r}, expected one of {sorted(ALGORITHMS)}")
-        if self.n_definition not in N_DEFINITIONS:
-            raise ValueError(
-                f"unknown n definition {self.n_definition!r}, expected one of {N_DEFINITIONS}"
-            )
+        check_solver_options(self.algo, self.mode, self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     oracle's least k (not the generating exponent).  Moduli below 3 are
     skipped: no instance with base >= 2 exists there.
     """
-    runner = ALGORITHMS[cfg.algo]
     records: list[SweepRecord] = []
     for p in range(max(cfg.p_min, 3), cfg.p_max + 1):
         if cfg.prime_only and not is_prime(p):
@@ -233,7 +231,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             inst = gen.instance
             k_true = least_k(inst)
             t0 = time.perf_counter_ns()
-            report = runner(inst, cfg.mode, cfg.tolerance)
+            report = solve(cfg.algo, inst, cfg.mode, cfg.tolerance)
             wall = time.perf_counter_ns() - t0
             records.append(
                 SweepRecord(
@@ -376,6 +374,7 @@ def precision_scan(
     """
     if mode.is_exact:
         raise ValueError("precision_scan requires an approximate mode")
+    check_tolerance(tolerance)
     if samples_per_p < 1:
         raise ValueError(f"samples_per_p must be >= 1, got {samples_per_p}")
     p_min = max(p_min, 3)

@@ -19,10 +19,11 @@ from .bench import (
     EmitError,
     InsufficientDataError,
     SweepConfig,
+    check_solver_options,
     fit_as_dict,
     scan_as_dict,
 )
-from .numerics import NumericMode, parse_mode
+from .numerics import NumericMode, check_tolerance, parse_mode
 from .rotor import DlogInstance, SolveReport
 
 _VERIFY_P_MAX_LIMIT = 500  # guard against accidental multi-hour exhaustive runs
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--y", type=int, required=True, help="target, 1 <= y < p")
     solve.add_argument(
         "--algo",
-        choices=sorted(ALGORITHMS),
+        choices=ALGORITHMS,
         default="rotor-int",
         help="solver to run (default: rotor-int)",
     )
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p-max", type=int, required=True)
     sweep.add_argument("--samples", type=int, default=5, help="instances per modulus")
     sweep.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    sweep.add_argument("--algo", choices=sorted(ALGORITHMS), default="rotor-int")
+    sweep.add_argument("--algo", choices=ALGORITHMS, default="rotor-int")
     sweep.add_argument("--mode", type=_mode_arg, default="exact")
     sweep.add_argument("--tolerance", type=float, default=None)
     sweep.add_argument(
@@ -161,16 +162,6 @@ def _emit_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _validated_instance(args: argparse.Namespace) -> DlogInstance:
-    if args.p < 2:
-        raise CliError(f"--p must be >= 2, got {args.p}")
-    if not 1 <= args.x < args.p:
-        raise CliError(f"--x must satisfy 1 <= x < p, got --x {args.x} with --p {args.p}")
-    if not 1 <= args.y < args.p:
-        raise CliError(f"--y must satisfy 1 <= y < p, got --y {args.y} with --p {args.p}")
-    return DlogInstance(args.p, args.x, args.y)
-
-
 def _solve_payload(report: SolveReport) -> dict:
     return {
         "k": report.k,
@@ -184,10 +175,13 @@ def _solve_payload(report: SolveReport) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = _validated_instance(args)
-    if args.tolerance is not None and args.tolerance < 0:
-        raise CliError(f"--tolerance must be non-negative, got {args.tolerance}")
-    report = ALGORITHMS[args.algo](inst, args.mode, args.tolerance)
+    # Both checks word their messages to start with the offending field's name.
+    try:
+        inst = DlogInstance(args.p, args.x, args.y)
+        check_solver_options(args.algo, args.mode, args.tolerance)
+    except ValueError as exc:
+        raise CliError(f"--{exc}") from exc
+    report = bench.solve(args.algo, inst, args.mode, args.tolerance)
     _emit_json(_solve_payload(report))
     return 0 if report.found else 1
 
@@ -277,8 +271,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_precision_scan(args: argparse.Namespace) -> int:
     if args.mode.is_exact:
         raise CliError("--mode must be an approximate mode (float64 or fixed:<bits>)")
-    if args.tolerance is not None and args.tolerance < 0:
-        raise CliError(f"--tolerance must be non-negative, got {args.tolerance}")
+    try:
+        check_tolerance(args.tolerance)
+    except ValueError as exc:
+        raise CliError(f"--{exc}") from exc
     if args.samples < 1:
         raise CliError(f"--samples must be >= 1, got {args.samples}")
     if args.p_min > args.p_max:

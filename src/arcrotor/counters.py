@@ -20,11 +20,6 @@ class OpCounters:
     comparisons: int = 0
     outer_steps: int = 0
 
-    def snapshot(self) -> OpCounters:
-        return OpCounters(
-            self.additions, self.subtractions, self.comparisons, self.outer_steps
-        )
-
     @property
     def total_arithmetic(self) -> int:
         """Additions plus subtractions; the cost metric used for fitting."""

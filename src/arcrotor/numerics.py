@@ -1,4 +1,4 @@
-"""Number representations for the arc-projected discrete-log problem.
+"""Numeric modes and comparison tolerances for the arc-projected discrete-log problem.
 
 A residue v modulo p is projected onto the 360-degree arc as the angle
 360*v/p, with theta = 360/p the angular step.  Three arithmetic modes are
@@ -11,22 +11,19 @@ supported:
 * fixed(b)   — binary fixed point with b fractional bits of a degree; the
                only rounding is in the conversion of the step theta, all
                subsequent adds and subtracts are exact integer operations.
+
+The walks themselves live in ``rotor``; this module names the modes and
+says how close a walk must come to its target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .counters import OpCounters
+from math import isfinite
 
 
 class InvalidModulusError(ValueError):
     """Raised when a modulus smaller than 2 is supplied."""
-
-
-class ModeMismatchError(ValueError):
-    """Raised when two approximate angles of different modes are compared."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,177 +102,11 @@ def default_tolerance(mode: NumericMode, modulus: int) -> float:
     return 180.0 / modulus
 
 
-# ---------------------------------------------------------------------------
-# Angle values
-# ---------------------------------------------------------------------------
+def check_tolerance(tolerance: float | None) -> None:
+    """Reject a comparison tolerance that is not a finite, non-negative number of degrees.
 
-
-@dataclass(frozen=True)
-class AngleResidue:
-    """Exact projected angle: numerator v meaning 360*v/modulus degrees.
-
-    The numerator may exceed the modulus transiently (scaling produces
-    unreduced values); ``reduce`` normalises into [0, modulus).  Two residues
-    are comparable only when their moduli agree.
+    None (use the mode's default) passes.  The message starts with the word
+    ``tolerance`` so a front end can prefix its own flag syntax.
     """
-
-    numerator: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise InvalidModulusError(f"modulus must be >= 2, got {self.modulus}")
-        if self.numerator < 0:
-            raise ValueError(f"numerator must be non-negative, got {self.numerator}")
-
-    @property
-    def degrees(self) -> Fraction:
-        """Exact rational value in degrees."""
-        return Fraction(360 * self.numerator, self.modulus)
-
-    def reduce(self) -> AngleResidue:
-        """Normalise the numerator into [0, modulus) (true modular reduction)."""
-        return AngleResidue(self.numerator % self.modulus, self.modulus)
-
-
-@dataclass(frozen=True)
-class ApproxAngle:
-    """Angle in an approximate mode.
-
-    ``raw`` is the mode's native value: a float in degrees for float64, an
-    integer count of 2**-bits-degree units for fixed point.
-    """
-
-    raw: float | int
-    mode: NumericMode
-
-    def __post_init__(self) -> None:
-        if self.mode.is_exact:
-            raise ValueError("ApproxAngle requires an approximate mode")
-
-    @property
-    def degrees(self) -> float:
-        if self.mode.kind == "fixed":
-            return self.raw / (1 << self.mode.fractional_bits)
-        return float(self.raw)
-
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def project(v: int, p: int) -> AngleResidue:
-    """Project the residue v modulo p onto the 360-degree arc.
-
-    The result carries numerator v, i.e. the angle v * (360/p) degrees.
-    """
-    if p < 2:
-        raise InvalidModulusError(f"modulus must be >= 2, got {p}")
-    if not 0 <= v < p:
-        raise ValueError(f"residue must lie in [0, {p}), got {v}")
-    return AngleResidue(v, p)
-
-
-def scale_angle(a: int, r: AngleResidue) -> AngleResidue:
-    """Multiply the angle by the positive integer a, leaving it unreduced.
-
-    Scaling commutes with the projection: a * (v * theta) is the projection
-    of a * v.  The numerator is allowed to exceed the modulus; Python
-    integers make overflow impossible.
-    """
-    if a < 1:
-        raise ValueError(f"scale factor must be >= 1, got {a}")
-    return AngleResidue(a * r.numerator, r.modulus)
-
-
-def _reduce_int(value: int, wrap: int) -> tuple[int, int]:
-    # Closed form for `while value > wrap: value -= wrap`; identical result
-    # and subtraction count, including the strict-> quirk that leaves an
-    # exact positive multiple of wrap at wrap rather than 0.
-    if value > wrap:
-        m = (value - 1) // wrap
-        return value - m * wrap, m
-    return value, 0
-
-
-def _reduce_float(value: float, wrap: float) -> tuple[float, int]:
-    m = 0
-    while value > wrap:
-        value -= wrap
-        m += 1
-    return value, m
-
-
-def reduce_by_subtraction(
-    value: int | float | ApproxAngle,
-    modulus_value: int | float,
-    counters: OpCounters | None = None,
-):
-    """Wrap ``value`` by repeatedly subtracting ``modulus_value`` while strictly above it.
-
-    The comparison is strict, so a value exactly equal to the wrap bound (or
-    an exact positive multiple of it) settles at the bound itself, not at 0.
-    Every subtraction is charged to ``counters.subtractions``.  Integer
-    inputs (and fixed-point angles) use an arithmetically identical closed
-    form; float inputs run the literal subtraction loop, whose per-step
-    rounding is part of the behaviour under study.
-    """
-    if isinstance(value, ApproxAngle):
-        mode = value.mode
-        if mode.kind == "fixed":
-            bits = mode.fractional_bits
-            wrap = (
-                int(modulus_value) << bits
-                if isinstance(modulus_value, int)
-                else round(modulus_value * (1 << bits))
-            )
-            reduced, m = _reduce_int(value.raw, wrap)
-        else:
-            reduced, m = _reduce_float(float(value.raw), float(modulus_value))
-        if counters is not None:
-            counters.subtractions += m
-        return ApproxAngle(reduced, mode)
-
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
-    if isinstance(value, float):
-        reduced, m = _reduce_float(value, float(modulus_value))
-    else:
-        reduced, m = _reduce_int(value, int(modulus_value))
-    if counters is not None:
-        counters.subtractions += m
-    return reduced
-
-
-def to_approx(r: AngleResidue, mode: NumericMode) -> ApproxAngle:
-    """Convert an exact angle to an approximate mode, rounding to nearest.
-
-    float64 uses the correctly rounded quotient of the exact integers
-    360*numerator and modulus; fixed point rounds 360*numerator*2**bits /
-    modulus to the nearest integer unit (ties to even).
-    """
-    if mode.is_exact:
-        raise ValueError("to_approx requires an approximate mode")
-    if mode.kind == "fixed":
-        scale = 1 << mode.fractional_bits
-        raw = round(Fraction(360 * r.numerator * scale, r.modulus))
-        return ApproxAngle(raw, mode)
-    return ApproxAngle((360 * r.numerator) / r.modulus, mode)
-
-
-def angles_equal(a: ApproxAngle, b: ApproxAngle, tolerance: float) -> bool:
-    """Compare two same-mode angles to within ``tolerance`` degrees.
-
-    Tolerance 0 is the plain equality test of a double- or fixed-valued
-    realisation; the recommended default for approximate modes is
-    ``default_tolerance`` (half the angular step).
-    """
-    if a.mode != b.mode:
-        raise ModeMismatchError(f"cannot compare angles across modes {a.mode} and {b.mode}")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    if a.mode.kind == "fixed":
-        tol_raw = round(tolerance * (1 << a.mode.fractional_bits))
-        return abs(a.raw - b.raw) <= tol_raw
-    return abs(a.raw - b.raw) <= tolerance
+    if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")

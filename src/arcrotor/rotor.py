@@ -1,11 +1,23 @@
 """Rotor solvers for the discrete logarithm x^k = y (mod p).
 
-Both solvers advance the accumulated power of x by x-fold repeated addition
-(so one outer step costs exactly x additions), wrap the result by repeated
-subtraction with a strict ``>`` comparison, and test against the reduced
-target once per outer step.  ``rotor_solve_real`` runs on the 360-degree arc
-projection in a selectable numeric mode; ``rotor_solve_int`` runs the same
-recurrence directly on integer residues with wrap bound p.
+The solver is one recurrence: advance the accumulated power of x by x-fold
+repeated addition (so one outer step costs exactly x additions), wrap the
+result by repeated subtraction with a strict ``>`` comparison, and test it
+against the target once per outer step.  Every solve differs only in its
+start value, target, wrap bound and tolerance, so the walk is written once
+per arithmetic family:
+
+* ``_walk_int`` serves the integer field (wrap p), exact arc mode (numerator
+  units, wrap p) and fixed-point mode (raw units, wrap 360 * 2**bits).  Every
+  add/subtract there is an exact integer operation, so the repeated addition
+  is folded into one multiplication and the wrap loop into one division,
+  with identical results and identical operation counts.
+* ``_walk_float`` serves float64 mode (degrees, wrap 360.0) and executes the
+  literal loops, because their per-operation rounding is precisely what a
+  precision scan measures.
+
+``rotor_solve_int``, ``rotor_solve_real`` and the single-step driver
+``rotor_step`` are thin views over these two kernels.
 
 Faithfulness notes that shape the observable behaviour:
 
@@ -18,11 +30,6 @@ Faithfulness notes that shape the observable behaviour:
   initial value x^1 beforehand, the orbit is exhausted and the solve stops
   with ``CycleDetected``.  Unreachable targets are a valid outcome, not an
   error.
-* In exact and fixed-point modes every add/subtract is an exact integer
-  operation, so the repeated addition is folded into one multiplication and
-  the wrap loop into one division with identical results and identical
-  operation counts.  float64 mode executes the literal loops, because their
-  per-operation rounding is precisely what a precision scan measures.
 
 Counter policy: ``comparisons`` counts target-equality tests (including the
 two pre-checks); the cycle-detection test is bookkeeping and is not charged.
@@ -35,16 +42,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .counters import OpCounters
-from .numerics import (
-    EXACT,
-    AngleResidue,
-    ApproxAngle,
-    NumericMode,
-    default_tolerance,
-    project,
-    reduce_by_subtraction,
-    scale_angle,
-)
+from .numerics import EXACT, NumericMode, check_tolerance, default_tolerance
 
 
 class InvalidInstanceError(ValueError):
@@ -56,7 +54,8 @@ class DlogInstance:
     """A discrete-log problem triple (p, x, y) over the residues mod p.
 
     p need not be prime; the solvers are defined on any multiplicative
-    structure mod p, with "no solution" a legitimate outcome.
+    structure mod p, with "no solution" a legitimate outcome.  Error
+    messages start with the offending field's name.
     """
 
     p: int
@@ -80,18 +79,15 @@ class SolveReason(str, Enum):
 
 @dataclass(frozen=True)
 class RotorState:
-    """Loop state of one rotor solve.
+    """Loop state of one rotor solve, in the native units of its mode.
 
-    acc is the accumulated power (x^exponent up to the strict-> wrap quirk),
-    scratch the unreduced inner-loop sum that produced it, target the reduced
-    comparison value.  The value types follow the mode: AngleResidue for the
-    exact arc, ApproxAngle for approximate arcs, plain int for the integer
-    field.
+    acc is the accumulated power (x^exponent up to the strict-> wrap quirk)
+    and target the reduced comparison value: integers for the integer field,
+    exact and fixed-point arcs, floats in degrees for float64.
     """
 
-    acc: AngleResidue | ApproxAngle | int | float
-    scratch: AngleResidue | ApproxAngle | int | float
-    target: AngleResidue | ApproxAngle | int | float
+    acc: int | float
+    target: int | float
     exponent: int
 
 
@@ -114,6 +110,79 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
+# Kernels
+# ---------------------------------------------------------------------------
+#
+# Both kernels walk at most ``max_steps`` outer steps from ``acc`` (the value
+# of x^1) and return (acc, steps, subtractions, reason).  The loops stay
+# inline: a per-step helper call costs a measurable share of a sweep.
+
+
+def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int):
+    first = acc
+    subs = 0
+    for steps in range(1, max_steps + 1):
+        acc *= x  # exact fold of x-fold repeated addition
+        if acc > wrap:
+            m = (acc - 1) // wrap  # exact fold of the strict-> subtraction loop
+            acc -= m * wrap
+            subs += m
+        if abs(acc - target) <= tol:
+            return acc, steps, subs, SolveReason.FOUND
+        if acc == first:
+            return acc, steps, subs, SolveReason.CYCLE_DETECTED
+    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
+def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_steps: int):
+    first = acc
+    subs = 0
+    for steps in range(1, max_steps + 1):
+        total = 0.0
+        for _ in range(x):  # literal repeated addition; rounding accumulates
+            total += acc
+        acc = total
+        while acc > wrap:
+            acc -= wrap
+            subs += 1
+        if abs(acc - target) <= tol:
+            return acc, steps, subs, SolveReason.FOUND
+        if acc == first:
+            return acc, steps, subs, SolveReason.CYCLE_DETECTED
+    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
+def _solve(inst: DlogInstance, walk, start, target, wrap, tol) -> SolveReport:
+    # The loop's first comparison sees x^2; answer k=0 and k=1 beforehand.
+    x, y = inst.x, inst.y
+    if y == 1:
+        return SolveReport(0, SolveReason.FOUND, OpCounters(comparisons=1), 0)
+    if y == x:
+        return SolveReport(1, SolveReason.FOUND, OpCounters(comparisons=2), 0)
+    _, steps, subs, reason = walk(x, start, target, wrap, tol, inst.p - 1)
+    k = steps + 1 if reason is SolveReason.FOUND else None
+    return SolveReport(k, reason, OpCounters(steps * x, subs, 2 + steps, steps), steps)
+
+
+def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
+    """Kernel, start, target, wrap and tolerance of an arc solve, in mode units."""
+    p, x, y = inst.p, inst.x, inst.y
+    if mode.is_exact:
+        # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
+        # and y' = y*theta carry numerators x and y, and the 360-degree wrap
+        # point is numerator p.  No tolerance is needed.
+        return _walk_int, x, y, p, 0
+    if mode.kind == "float64":
+        theta = 360.0 / p
+        return _walk_float, x * theta, y * theta, 360.0, tolerance
+    # Fixed point rounds only theta and the tolerance; everything after that
+    # is exact integer arithmetic on raw units.
+    scale = 1 << mode.fractional_bits
+    theta_raw = round(Fraction(360 * scale, p))
+    return _walk_int, x * theta_raw, y * theta_raw, 360 * scale, round(tolerance * scale)
+
+
+# ---------------------------------------------------------------------------
 # Single step
 # ---------------------------------------------------------------------------
 
@@ -127,92 +196,36 @@ def rotor_step(
     """Advance one outer iteration: x-fold add, wrap, increment the exponent.
 
     ``wrap`` is in the state's native units: p for integer-field and
-    exact-arc states (numerator units), 360 for degree-valued approximate
-    states.  Exactly x additions and one wrap's worth of subtractions are
-    charged to ``counters``.
+    exact-arc states, 360 << bits for fixed-point states, 360.0 for float64
+    states.  Runs the solvers' own kernel for one step; exactly x additions
+    and that step's subtractions are charged to ``counters``.
     """
-    acc = state.acc
-    if isinstance(acc, AngleResidue):
-        scratch = scale_angle(x, acc)
-        counters.additions += x
-        reduced = reduce_by_subtraction(scratch.numerator, wrap, counters)
-        new_acc: AngleResidue | ApproxAngle | int | float = AngleResidue(reduced, acc.modulus)
-    elif isinstance(acc, ApproxAngle):
-        if acc.mode.kind == "float64":
-            total = 0.0
-            for _ in range(x):
-                total += acc.raw
-            scratch = ApproxAngle(total, acc.mode)
-        else:
-            scratch = ApproxAngle(acc.raw * x, acc.mode)
-        counters.additions += x
-        new_acc = reduce_by_subtraction(scratch, wrap, counters)
-    elif isinstance(acc, float):
-        total = 0.0
-        for _ in range(x):
-            total += acc
-        scratch = total
-        counters.additions += x
-        new_acc = reduce_by_subtraction(scratch, wrap, counters)
-    else:
-        scratch = acc * x
-        counters.additions += x
-        new_acc = reduce_by_subtraction(scratch, wrap, counters)
-    return RotorState(
-        acc=new_acc, scratch=scratch, target=state.target, exponent=state.exponent + 1
-    )
+    walk = _walk_float if isinstance(state.acc, float) else _walk_int
+    acc, _, subs, _ = walk(x, state.acc, state.target, wrap, 0, 1)
+    counters.additions += x
+    counters.subtractions += subs
+    return RotorState(acc, state.target, state.exponent + 1)
 
 
 def initial_state(inst: DlogInstance) -> RotorState:
     """Integer-field start state: acc = x^1, target = y, exponent = 1."""
-    return RotorState(acc=inst.x, scratch=0, target=inst.y, exponent=1)
+    return RotorState(inst.x, inst.y, 1)
 
 
 def initial_projected_state(inst: DlogInstance, mode: NumericMode = EXACT) -> RotorState:
-    """Arc-projected start state in the given mode.
+    """Arc-projected start state in the given mode, exactly as the solver starts.
 
-    Approximate modes mirror the solver's own initialisation: the step
-    theta = 360/p is computed first in mode arithmetic, then scaled by the
-    integers x and y (two rounding steps in float64, one in fixed point).
+    Approximate modes compute the step theta = 360/p first in mode
+    arithmetic, then scale it by the integers x and y (two rounding steps in
+    float64, one in fixed point).
     """
-    p = inst.p
-    if mode.is_exact:
-        return RotorState(
-            acc=project(inst.x, p),
-            scratch=project(0, p),
-            target=project(inst.y, p),
-            exponent=1,
-        )
-    if mode.kind == "float64":
-        theta = 360.0 / p
-        return RotorState(
-            acc=ApproxAngle(inst.x * theta, mode),
-            scratch=ApproxAngle(0.0, mode),
-            target=ApproxAngle(inst.y * theta, mode),
-            exponent=1,
-        )
-    scale = 1 << mode.fractional_bits
-    theta_raw = round(Fraction(360 * scale, p))
-    return RotorState(
-        acc=ApproxAngle(inst.x * theta_raw, mode),
-        scratch=ApproxAngle(0, mode),
-        target=ApproxAngle(inst.y * theta_raw, mode),
-        exponent=1,
-    )
+    _, start, target, _, _ = _arc_setup(inst, mode, 0.0)
+    return RotorState(start, target, 1)
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
-
-
-def _precheck(y: int, x: int) -> SolveReport | None:
-    # The loop's first comparison sees x^2; answer k=0 and k=1 beforehand.
-    if y == 1:
-        return SolveReport(0, SolveReason.FOUND, OpCounters(comparisons=1), 0)
-    if y == x:
-        return SolveReport(1, SolveReason.FOUND, OpCounters(comparisons=2), 0)
-    return None
 
 
 def rotor_solve_int(inst: DlogInstance) -> SolveReport:
@@ -225,37 +238,7 @@ def rotor_solve_int(inst: DlogInstance) -> SolveReport:
     """
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
-    p, x, y = inst.p, inst.x, inst.y
-    early = _precheck(y, x)
-    if early is not None:
-        return early
-
-    acc = x
-    first = x
-    exponent = 1
-    adds = subs = steps = 0
-    cmps = 2
-    k: int | None = None
-    reason = SolveReason.EXHAUSTED_ITERATIONS
-    for _ in range(p - 1):
-        s = acc * x  # exact fold of x-fold repeated addition
-        adds += x
-        if s > p:
-            m = (s - 1) // p  # exact fold of the strict-> subtraction loop
-            s -= m * p
-            subs += m
-        acc = s
-        exponent += 1
-        steps += 1
-        cmps += 1
-        if acc == y:
-            k = exponent
-            reason = SolveReason.FOUND
-            break
-        if acc == first:
-            reason = SolveReason.CYCLE_DETECTED
-            break
-    return SolveReport(k, reason, OpCounters(adds, subs, cmps, steps), steps)
+    return _solve(inst, _walk_int, inst.x, inst.y, inst.p, 0)
 
 
 def rotor_solve_real(
@@ -268,7 +251,8 @@ def rotor_solve_real(
     In exact mode the result always agrees with the oracle and the tolerance
     is ignored.  In approximate modes the comparison uses ``tolerance``
     degrees (default: half the angular step, 180/p); a wrong or missing k is
-    a measurable outcome, not an error.
+    a measurable outcome, not an error.  A given tolerance must be finite
+    and non-negative in every mode.
     """
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
@@ -276,127 +260,6 @@ def rotor_solve_real(
         raise ValueError(f"expected a NumericMode, got {type(mode).__name__}")
     if tolerance is None:
         tolerance = default_tolerance(mode, inst.p)
-    elif tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    if mode.is_exact:
-        return _solve_arc_exact(inst)
-    if mode.kind == "float64":
-        return _solve_arc_float64(inst, tolerance)
-    return _solve_arc_fixed(inst, tolerance, mode)
-
-
-def _solve_arc_exact(inst: DlogInstance) -> SolveReport:
-    # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
-    # and y' = y*theta carry numerators x and y, and the 360-degree wrap
-    # point is numerator p.  The loop below is that numerator arithmetic.
-    p, x, y = inst.p, inst.x, inst.y
-    early = _precheck(y, x)
-    if early is not None:
-        return early
-
-    acc = x  # numerator of x^1 * theta
-    first = x
-    target = y  # numerator of y * theta
-    exponent = 1
-    adds = subs = steps = 0
-    cmps = 2
-    k: int | None = None
-    reason = SolveReason.EXHAUSTED_ITERATIONS
-    for _ in range(p - 1):
-        s = acc * x
-        adds += x
-        if s > p:
-            m = (s - 1) // p
-            s -= m * p
-            subs += m
-        acc = s
-        exponent += 1
-        steps += 1
-        cmps += 1
-        if acc == target:
-            k = exponent
-            reason = SolveReason.FOUND
-            break
-        if acc == first:
-            reason = SolveReason.CYCLE_DETECTED
-            break
-    return SolveReport(k, reason, OpCounters(adds, subs, cmps, steps), steps)
-
-
-def _solve_arc_float64(inst: DlogInstance, tolerance: float) -> SolveReport:
-    p, x, y = inst.p, inst.x, inst.y
-    early = _precheck(y, x)
-    if early is not None:
-        return early
-
-    theta = 360.0 / p
-    x1 = x * theta
-    y2 = y * theta
-    first = x1
-    exponent = 1
-    adds = subs = steps = 0
-    cmps = 2
-    k: int | None = None
-    reason = SolveReason.EXHAUSTED_ITERATIONS
-    for _ in range(p - 1):
-        x2 = 0.0
-        for _ in range(x):  # literal repeated addition; rounding accumulates
-            x2 += x1
-        adds += x
-        x1 = x2
-        exponent += 1
-        while x1 > 360.0:
-            x1 -= 360.0
-            subs += 1
-        steps += 1
-        cmps += 1
-        if abs(x1 - y2) <= tolerance:
-            k = exponent
-            reason = SolveReason.FOUND
-            break
-        if x1 == first:
-            reason = SolveReason.CYCLE_DETECTED
-            break
-    return SolveReport(k, reason, OpCounters(adds, subs, cmps, steps), steps)
-
-
-def _solve_arc_fixed(inst: DlogInstance, tolerance: float, mode: NumericMode) -> SolveReport:
-    # Only theta (and the tolerance) are rounded; adds, subtracts and
-    # comparisons on the raw units are exact integer operations, so the
-    # loops fold to closed forms exactly as in the integer field.
-    p, x, y = inst.p, inst.x, inst.y
-    early = _precheck(y, x)
-    if early is not None:
-        return early
-
-    scale = 1 << mode.fractional_bits
-    theta_raw = round(Fraction(360 * scale, p))
-    wrap = 360 * scale
-    tol_raw = round(tolerance * scale)
-    x1 = x * theta_raw
-    y2 = y * theta_raw
-    first = x1
-    exponent = 1
-    adds = subs = steps = 0
-    cmps = 2
-    k: int | None = None
-    reason = SolveReason.EXHAUSTED_ITERATIONS
-    for _ in range(p - 1):
-        s = x1 * x
-        adds += x
-        if s > wrap:
-            m = (s - 1) // wrap
-            s -= m * wrap
-            subs += m
-        x1 = s
-        exponent += 1
-        steps += 1
-        cmps += 1
-        if abs(x1 - y2) <= tol_raw:
-            k = exponent
-            reason = SolveReason.FOUND
-            break
-        if x1 == first:
-            reason = SolveReason.CYCLE_DETECTED
-            break
-    return SolveReport(k, reason, OpCounters(adds, subs, cmps, steps), steps)
+    else:
+        check_tolerance(tolerance)
+    return _solve(inst, *_arc_setup(inst, mode, tolerance))

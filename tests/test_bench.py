@@ -145,8 +145,17 @@ class TestRunSweep:
             SweepConfig(p_min=3, p_max=5, samples_per_p=0, seed=1)
         with pytest.raises(ValueError):
             SweepConfig(p_min=3, p_max=5, samples_per_p=1, seed=1, algo="pollard")
-        with pytest.raises(ValueError):
-            SweepConfig(p_min=3, p_max=5, samples_per_p=1, seed=1, n_definition="digits")
+        # only rotor-real reads the mode and the tolerance
+        with pytest.raises(ValueError, match="^mode"):
+            SweepConfig(p_min=3, p_max=5, samples_per_p=1, seed=1, mode=fixed_point(8))
+        with pytest.raises(ValueError, match="^tolerance"):
+            SweepConfig(p_min=3, p_max=5, samples_per_p=1, seed=1, algo="bsgs", tolerance=0.5)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^tolerance"):
+                SweepConfig(
+                    p_min=3, p_max=5, samples_per_p=1, seed=1,
+                    algo="rotor-real", mode=FLOAT64_DEGREES, tolerance=bad,
+                )
 
 
 def planted_records(constant, exponent, ns):
@@ -261,6 +270,11 @@ class TestPrecisionScan:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             precision_scan(FLOAT64_DEGREES, None, 5, 1, 1, p_min=10)
+
+    def test_bad_tolerance_rejected(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^tolerance"):
+                precision_scan(FLOAT64_DEGREES, bad, 10, 1, 1)
 
 
 class TestEmitResults:

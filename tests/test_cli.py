@@ -75,12 +75,27 @@ class TestSolve:
         assert out == ""
 
     def test_negative_tolerance_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "solve", "--p", "373", "--x", "13", "--y", "158",
-            "--algo", "rotor-real", "--mode", "float64", "--tolerance", "-1",
-        )
-        assert code == 2
+        for mode in ("float64", "fixed:8"):
+            for bad in ("-1", "nan", "inf"):
+                code, out, err = run_cli(
+                    capsys,
+                    "solve", "--p", "373", "--x", "13", "--y", "158",
+                    "--algo", "rotor-real", "--mode", mode, "--tolerance", bad,
+                )
+                assert code == 2
+                assert out == ""
+                assert "--tolerance" in err
+
+    @pytest.mark.parametrize("algo", ["rotor-int", "naive", "bsgs"])
+    def test_mode_and_tolerance_need_rotor_real(self, capsys, algo):
+        base = ("solve", "--p", "373", "--x", "13", "--y", "158", "--algo", algo)
+        code, out, err = run_cli(capsys, *base, "--mode", "fixed:8")
+        assert (code, out) == (2, "")
+        assert "--mode" in err
+        code, out, err = run_cli(capsys, *base, "--mode", "float64", "--tolerance", "5")
+        assert (code, out) == (2, "")
+        code, out, err = run_cli(capsys, *base, "--tolerance", "5")
+        assert (code, out) == (2, "")
         assert "--tolerance" in err
 
     def test_float64_mode_solves_fixture(self, capsys):
@@ -158,6 +173,29 @@ class TestSweep:
         assert code == 2
         assert "p_min" in err
 
+    def test_mode_needs_rotor_real(self, capsys, tmp_path):
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--p-min", "5", "--p-max", "10", "--algo", "rotor-int",
+            "--mode", "fixed:8", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert "mode" in err
+        assert not out_path.exists()
+
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "s.csv"
+        for bad in ("-1", "nan"):
+            code, out, err = run_cli(
+                capsys,
+                "sweep", "--p-min", "5", "--p-max", "10", "--algo", "rotor-real",
+                "--mode", "float64", "--tolerance", bad, "--out", str(out_path),
+            )
+            assert (code, out) == (2, "")
+            assert "tolerance" in err
+        assert not out_path.exists()
+
     def test_unwritable_out_exits_three(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -202,6 +240,18 @@ class TestPrecisionScan:
         )
         assert code == 2
         assert "approximate" in err
+
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "scan.csv"
+        for bad in ("-1", "nan", "inf"):
+            code, out, err = run_cli(
+                capsys,
+                "precision-scan", "--mode", "float64", "--tolerance", bad,
+                "--p-max", "10", "--out", str(out_path),
+            )
+            assert (code, out) == (2, "")
+            assert "--tolerance" in err
+        assert not out_path.exists()
 
     def test_unwritable_out_exits_three(self, capsys):
         code, _, _ = run_cli(

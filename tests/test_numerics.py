@@ -1,6 +1,8 @@
-"""Angle representations, reduction semantics and approximate conversions."""
+"""Numeric modes and tolerances, and the per-mode arithmetic of the rotor kernels.
 
-from fractions import Fraction
+The strict-> reduction, the tolerance comparison and the projection of the
+start state are exercised through the public single-step driver and solver.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +11,26 @@ from hypothesis import strategies as st
 from arcrotor import (
     EXACT,
     FLOAT64_DEGREES,
-    AngleResidue,
-    ApproxAngle,
+    DlogInstance,
     InvalidModulusError,
-    ModeMismatchError,
     NumericMode,
     OpCounters,
-    angles_equal,
+    RotorState,
     default_tolerance,
     fixed_point,
+    initial_projected_state,
     parse_mode,
-    project,
-    reduce_by_subtraction,
-    scale_angle,
-    to_approx,
+    rotor_solve_real,
+    rotor_step,
 )
+from arcrotor.numerics import check_tolerance
+
+
+def wrap_once(value, wrap):
+    """One rotor step with x = 1, where the addition is the value itself and only the wrap acts."""
+    c = OpCounters()
+    state = rotor_step(RotorState(acc=value, target=0, exponent=1), 1, wrap, c)
+    return state.acc, c.subtractions
 
 
 class TestNumericMode:
@@ -57,117 +64,48 @@ class TestNumericMode:
             default_tolerance(FLOAT64_DEGREES, 1)
 
 
-class TestProject:
-    def test_zero_maps_to_zero(self):
-        assert project(0, 373) == AngleResidue(0, 373)
-        assert project(0, 373).degrees == 0
-
-    def test_appendix_base(self):
-        r = project(13, 373)
-        assert r.numerator == 13
-        assert r.degrees == Fraction(360 * 13, 373)
-
-    def test_modulus_360_makes_unit_step(self):
-        assert project(180, 360).degrees == 180
-
-    def test_invalid_modulus(self):
-        with pytest.raises(InvalidModulusError):
-            project(0, 1)
-
-    def test_residue_range_enforced(self):
-        with pytest.raises(ValueError):
-            project(373, 373)
-        with pytest.raises(ValueError):
-            project(-1, 373)
-
-
-class TestScaleAngle:
-    def test_identity(self):
-        assert scale_angle(1, AngleResidue(13, 373)) == AngleResidue(13, 373)
-
-    def test_square_step(self):
-        # 13 * 13 = 169, the x^2 step of the worked trajectory
-        assert scale_angle(13, AngleResidue(13, 373)) == AngleResidue(169, 373)
-
-    def test_unreduced_result_allowed(self):
-        assert scale_angle(2, AngleResidue(200, 360)) == AngleResidue(400, 360)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            scale_angle(0, AngleResidue(13, 373))
-
-    @settings(max_examples=200)
-    @given(st.integers(2, 500), st.data())
-    def test_exact_mode_homomorphism(self, p, data):
-        # scaling then true reduction agrees with modular multiplication
-        a = data.draw(st.integers(1, p - 1))
-        v = data.draw(st.integers(0, p - 1))
-        reduced = scale_angle(a, project(v, p)).reduce()
-        assert reduced.numerator == (a * v) % p
-        assert 0 <= reduced.numerator < p
-
-
 class TestReduceBySubtraction:
     def test_two_wraps(self):
-        c = OpCounters()
-        assert reduce_by_subtraction(730, 360, c) == 10
-        assert c.subtractions == 2
+        assert wrap_once(730, 360) == (10, 2)
 
     def test_already_reduced(self):
-        c = OpCounters()
-        assert reduce_by_subtraction(359, 360, c) == 359
-        assert c.subtractions == 0
+        assert wrap_once(359, 360) == (359, 0)
 
     def test_cube_of_appendix_base(self):
         # 13^3 = 2197; 2197 - 5*373 = 332
-        c = OpCounters()
-        assert reduce_by_subtraction(2197, 373, c) == 332
-        assert c.subtractions == 5
+        assert wrap_once(2197, 373) == (332, 5)
 
     def test_strict_comparison_keeps_exact_bound(self):
-        c = OpCounters()
-        assert reduce_by_subtraction(360, 360, c) == 360
-        assert c.subtractions == 0
+        assert wrap_once(360, 360) == (360, 0)
+        assert wrap_once(360.0, 360.0) == (360.0, 0)
 
     def test_exact_multiple_settles_at_bound_not_zero(self):
-        c = OpCounters()
-        assert reduce_by_subtraction(720, 360, c) == 360
-        assert c.subtractions == 1
-        c2 = OpCounters()
-        assert reduce_by_subtraction(1080, 360, c2) == 360
-        assert c2.subtractions == 2
+        for value, wrap in ((720, 360), (720.0, 360.0)):
+            assert wrap_once(value, wrap) == (360, 1)
+        for value, wrap in ((1080, 360), (1080.0, 360.0)):
+            assert wrap_once(value, wrap) == (360, 2)
 
     def test_zero_value(self):
-        assert reduce_by_subtraction(0, 360, OpCounters()) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_by_subtraction(-1, 360, OpCounters())
+        assert wrap_once(0, 360) == (0, 0)
 
     def test_float_literal_loop(self):
-        c = OpCounters()
-        assert reduce_by_subtraction(730.0, 360.0, c) == 10.0
-        assert c.subtractions == 2
+        reduced, subs = wrap_once(730.0, 360.0)
+        assert isinstance(reduced, float)
+        assert (reduced, subs) == (10.0, 2)
 
     def test_fixed_point_angle(self):
-        mode = fixed_point(8)
-        value = ApproxAngle(730 << 8, mode)
-        c = OpCounters()
-        reduced = reduce_by_subtraction(value, 360, c)
-        assert reduced == ApproxAngle(10 << 8, mode)
-        assert c.subtractions == 2
+        # fixed:8 raw units wrap at 360 << 8
+        assert wrap_once(730 << 8, 360 << 8) == (10 << 8, 2)
 
     def test_float64_angle(self):
-        c = OpCounters()
-        reduced = reduce_by_subtraction(ApproxAngle(365.5, FLOAT64_DEGREES), 360, c)
-        assert reduced.raw == pytest.approx(5.5)
-        assert c.subtractions == 1
+        reduced, subs = wrap_once(365.5, 360.0)
+        assert reduced == pytest.approx(5.5)
+        assert subs == 1
 
     @settings(max_examples=300)
     @given(st.integers(0, 10**9), st.integers(1, 10**6))
     def test_matches_mod_except_exact_multiples(self, value, m):
-        c = OpCounters()
-        reduced = reduce_by_subtraction(value, m, c)
+        reduced, _ = wrap_once(value, m)
         if value % m != 0:
             assert reduced == value % m
         elif value > 0:
@@ -178,92 +116,43 @@ class TestReduceBySubtraction:
     @settings(max_examples=300)
     @given(st.integers(1, 10**9), st.integers(1, 10**6))
     def test_subtraction_count_closed_form(self, value, m):
-        c = OpCounters()
-        reduce_by_subtraction(value, m, c)
-        expected = (value - 1) // m if value > m else 0
-        assert c.subtractions == expected
+        _, subs = wrap_once(value, m)
+        assert subs == ((value - 1) // m if value > m else 0)
 
 
 class TestToApprox:
-    def test_zero(self):
-        assert to_approx(AngleResidue(0, 373), FLOAT64_DEGREES).raw == 0.0
-
-    def test_dyadic_fraction_exact(self):
-        # 186/372 = 1/2, exactly representable
-        assert to_approx(AngleResidue(186, 372), FLOAT64_DEGREES).raw == 180.0
-
-    def test_correctly_rounded_float64(self):
-        got = to_approx(AngleResidue(13, 373), FLOAT64_DEGREES)
-        assert got.raw == float(Fraction(4680, 373))
-
-    def test_fixed_round_to_nearest(self):
-        got = to_approx(AngleResidue(13, 373), fixed_point(8))
-        assert got.raw == round(Fraction(4680 * 256, 373))
-
-    def test_exact_mode_rejected(self):
-        with pytest.raises(ValueError):
-            to_approx(AngleResidue(13, 373), EXACT)
-
     @pytest.mark.parametrize("p,multiplier", [(360, 1.0), (180, 2.0)])
     def test_round_trip_when_modulus_divides_360(self, p, multiplier):
-        for v in range(p):
-            assert to_approx(AngleResidue(v, p), FLOAT64_DEGREES).raw == v * multiplier
+        # theta = 360/p is exact here, so the float64 projection is too
+        for v in range(1, p):
+            state = initial_projected_state(DlogInstance(p, v, v), FLOAT64_DEGREES)
+            assert state.acc == state.target == v * multiplier
 
 
 class TestAnglesEqual:
+    # With p = 360, theta is exactly one degree (256 raw units in fixed:8),
+    # so every accumulator value is a whole number of degrees.
+
     def test_exact_equality(self):
-        a = ApproxAngle(10.0, FLOAT64_DEGREES)
-        assert angles_equal(a, ApproxAngle(10.0, FLOAT64_DEGREES), 0.0)
+        # 2 + 2 lands exactly on 4 degrees: tolerance 0 is a hit
+        assert rotor_solve_real(DlogInstance(360, 2, 4), FLOAT64_DEGREES, 0.0).k == 2
 
     def test_outside_tolerance(self):
-        a = ApproxAngle(10.0, FLOAT64_DEGREES)
-        b = ApproxAngle(10.5, FLOAT64_DEGREES)
-        assert not angles_equal(a, b, 0.25)
-        assert angles_equal(a, b, 0.5)
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            angles_equal(
-                ApproxAngle(1.0, FLOAT64_DEGREES), ApproxAngle(256, fixed_point(8)), 0.1
-            )
+        # 2^2 = 4 sits one degree from 5, and no even power reaches 5 exactly
+        inst = DlogInstance(360, 2, 5)
+        assert rotor_solve_real(inst, FLOAT64_DEGREES, 0.5).k is None
+        assert rotor_solve_real(inst, FLOAT64_DEGREES, 1.0).k == 2
 
     def test_negative_tolerance(self):
-        a = ApproxAngle(1.0, FLOAT64_DEGREES)
-        with pytest.raises(ValueError):
-            angles_equal(a, a, -0.1)
-
-    def test_fifth_power_matches_target_within_half_step(self):
-        # 13^5 = 158 (mod 373), reached through scale/reduce on numerators
-        p, x, y = 373, 13, 158
-        acc = project(x, p)
-        for _ in range(4):
-            acc = scale_angle(x, acc)
-            acc = AngleResidue(reduce_by_subtraction(acc.numerator, p, OpCounters()), p)
-        assert acc.numerator == y
-        tol = default_tolerance(FLOAT64_DEGREES, p)
-        assert angles_equal(
-            to_approx(acc, FLOAT64_DEGREES), to_approx(project(y, p), FLOAT64_DEGREES), tol
-        )
+        for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="^tolerance"):
+                check_tolerance(bad)
+        check_tolerance(None)
+        check_tolerance(0.0)
 
     def test_fixed_tolerance_in_raw_units(self):
-        mode = fixed_point(8)
-        a = ApproxAngle(1000, mode)
-        b = ApproxAngle(1002, mode)
-        assert angles_equal(a, b, 2 / 256)
-        assert not angles_equal(a, b, 1 / 256)
-
-
-class TestAngleResidue:
-    def test_reduce_normalises(self):
-        assert AngleResidue(400, 360).reduce() == AngleResidue(40, 360)
-        assert AngleResidue(720, 360).reduce() == AngleResidue(0, 360)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(InvalidModulusError):
-            AngleResidue(0, 1)
-        with pytest.raises(ValueError):
-            AngleResidue(-1, 5)
-
-    def test_approx_angle_needs_approximate_mode(self):
-        with pytest.raises(ValueError):
-            ApproxAngle(1.0, EXACT)
+        # 0.999 degrees rounds to 256 raw units, a whole degree, in fixed:8
+        inst = DlogInstance(360, 2, 5)
+        assert rotor_solve_real(inst, fixed_point(8), 0.999).k == 2
+        assert rotor_solve_real(inst, fixed_point(8), 254 / 256).k is None
+        assert rotor_solve_real(inst, FLOAT64_DEGREES, 0.999).k is None

@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 from arcrotor import (
     EXACT,
     FLOAT64_DEGREES,
-    AngleResidue,
     DlogInstance,
     InvalidInstanceError,
     OpCounters,
     RotorState,
     SolveReason,
     SolveReport,
+    default_tolerance,
     fixed_point,
     initial_projected_state,
     initial_state,
     modpow,
     naive_solve,
+    parse_mode,
     rotor_solve_int,
     rotor_solve_real,
     rotor_step,
@@ -97,8 +98,10 @@ class TestRotorSolveReal:
         assert narrow.k != 5  # 8 fractional bits cannot track this trajectory
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            rotor_solve_real(APPENDIX, FLOAT64_DEGREES, -1.0)
+        for mode in (EXACT, FLOAT64_DEGREES, fixed_point(8)):
+            for bad in (-1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="tolerance"):
+                    rotor_solve_real(APPENDIX, mode, bad)
 
     def test_mode_type_checked(self):
         with pytest.raises(ValueError):
@@ -131,86 +134,102 @@ class TestRotorSolveInt:
 class TestRotorStep:
     def test_square_step_no_wrap(self):
         c = OpCounters()
-        state = RotorState(
-            acc=AngleResidue(13, 373),
-            scratch=AngleResidue(0, 373),
-            target=AngleResidue(158, 373),
-            exponent=1,
-        )
-        state = rotor_step(state, 13, 373, c)
-        assert state.acc == AngleResidue(169, 373)
-        assert state.exponent == 2
+        state = rotor_step(RotorState(acc=13, target=158, exponent=1), 13, 373, c)
+        assert state == RotorState(acc=169, target=158, exponent=2)
         assert c.additions == 13
         assert c.subtractions == 0
 
     def test_cube_step_wraps_five_times(self):
+        # 13 * 169 = 2197 = 5 * 373 + 332
         c = OpCounters()
-        state = RotorState(
-            acc=AngleResidue(169, 373),
-            scratch=AngleResidue(0, 373),
-            target=AngleResidue(158, 373),
-            exponent=2,
-        )
-        state = rotor_step(state, 13, 373, c)
-        assert state.acc == AngleResidue(332, 373)
-        assert state.scratch == AngleResidue(2197, 373)
+        state = rotor_step(RotorState(acc=169, target=158, exponent=2), 13, 373, c)
+        assert state.acc == 332
         assert c.subtractions == 5
 
     def test_base_one_is_a_fixed_point(self):
         c = OpCounters()
-        state = RotorState(
-            acc=AngleResidue(1, 7),
-            scratch=AngleResidue(0, 7),
-            target=AngleResidue(3, 7),
-            exponent=1,
-        )
+        state = RotorState(acc=1, target=3, exponent=1)
         for expected_exponent in (2, 3, 4):
             state = rotor_step(state, 1, 7, c)
-            assert state.acc == AngleResidue(1, 7)
+            assert state.acc == 1
             assert state.exponent == expected_exponent
 
-    def test_stepwise_drive_matches_solver(self):
-        c = OpCounters()
-        state = initial_state(APPENDIX)
+    @pytest.mark.parametrize("mode_text", ["exact", "fixed:8", "fixed:32", "float64"])
+    def test_stepwise_drive_matches_solver(self, mode_text):
+        mode = parse_mode(mode_text)
+        p, x = APPENDIX.p, APPENDIX.x
+        tol = default_tolerance(mode, p)
+        if mode.is_exact:
+            wrap = p
+        elif mode.kind == "float64":
+            wrap = 360.0
+        else:
+            wrap = 360 << mode.fractional_bits
+            tol = round(tol * (1 << mode.fractional_bits))
+        c = OpCounters(comparisons=2)  # the k=0 and k=1 pre-checks
+        state = initial_projected_state(APPENDIX, mode)
+        first = state.acc
         k = None
-        while state.exponent < APPENDIX.p:
-            state = rotor_step(state, APPENDIX.x, APPENDIX.p, c)
+        while state.exponent < p:
+            state = rotor_step(state, x, wrap, c)
             c.outer_steps += 1
             c.comparisons += 1
-            if state.acc == state.target:
+            if abs(state.acc - state.target) <= tol:
                 k = state.exponent
                 break
-        solver = rotor_solve_int(APPENDIX)
+            if state.acc == first:
+                break
+        solver = rotor_solve_real(APPENDIX, mode)
         assert k == solver.k
-        assert c.additions == solver.counters.additions
-        assert c.subtractions == solver.counters.subtractions
-        assert c.outer_steps == solver.counters.outer_steps
+        assert c == solver.counters
 
     def test_float64_step_uses_literal_addition(self):
         c = OpCounters()
         state = initial_projected_state(APPENDIX, FLOAT64_DEGREES)
         theta = 360.0 / 373
-        assert state.acc.raw == 13 * theta
-        state = rotor_step(state, 13, 360, c)
+        assert state.acc == 13 * theta
+        state = rotor_step(state, 13, 360.0, c)
         total = 0.0
         for _ in range(13):
             total += 13 * theta
-        assert state.scratch.raw == total
+        assert state.acc == total  # below 360, so no wrap
         assert c.additions == 13
+        assert c.subtractions == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.one_of(st.integers(2, 10**4), st.integers(8, 40).map(lambda b: 360 << b)),
+        st.data(),
+    )
+    def test_step_matches_literal_procedure(self, x, wrap, data):
+        acc = data.draw(st.integers(0, wrap))  # the accumulator's range in a solve
+        # the fold must equal the paper's procedure: x-fold addition, then
+        # subtract while strictly above the wrap, counting each subtraction
+        total = 0
+        for _ in range(x):
+            total += acc
+        subs = 0
+        while total > wrap:
+            total -= wrap
+            subs += 1
+        c = OpCounters()
+        state = rotor_step(RotorState(acc=acc, target=0, exponent=1), x, wrap, c)
+        assert state.acc == total
+        assert c.subtractions == subs
+        assert c.additions == x
 
     def test_projected_exact_state(self):
         state = initial_projected_state(APPENDIX, EXACT)
-        assert state.acc == AngleResidue(13, 373)
-        assert state.target == AngleResidue(158, 373)
-        assert state.exponent == 1
+        assert state == RotorState(acc=13, target=158, exponent=1)
 
     def test_fixed_state_mirrors_solver_init(self):
         mode = fixed_point(8)
         state = initial_projected_state(APPENDIX, mode)
         # theta rounds to the nearest raw unit before scaling by x and y
         theta_raw = round(360 * 256 / 373)
-        assert state.acc.raw == 13 * theta_raw
-        assert state.target.raw == 158 * theta_raw
+        assert state.acc == 13 * theta_raw
+        assert state.target == 158 * theta_raw
 
 
 class TestInvariants:
@@ -272,7 +291,6 @@ class TestInvariants:
                 assert state.acc % p == modpow(x, state.exponent, p)
                 # this step's wrap count follows the strict-> closed form
                 s = prev_acc * x
-                assert state.scratch == s
                 assert c.subtractions - prev_subs == ((s - 1) // p if s > p else 0)
                 prev_subs = c.subtractions
                 prev_acc = state.acc
