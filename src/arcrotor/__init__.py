@@ -17,12 +17,10 @@ from .numerics import (
 )
 from .oracles import (
     NotAUnitError,
-    OracleKind,
     bsgs_solve,
     modpow,
     multiplicative_order,
     naive_solve,
-    oracle_solve,
 )
 from .rotor import (
     DlogInstance,
@@ -74,7 +72,6 @@ __all__ = [
     "NotAUnitError",
     "NumericMode",
     "OpCounters",
-    "OracleKind",
     "RotorState",
     "ScanBucket",
     "ScanReport",
@@ -95,7 +92,6 @@ __all__ = [
     "modpow",
     "multiplicative_order",
     "naive_solve",
-    "oracle_solve",
     "parse_mode",
     "precision_scan",
     "rotor_solve_int",

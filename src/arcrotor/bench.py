@@ -1,6 +1,9 @@
 """Benchmark harness: known-answer instances, sweeps, fits and precision scans.
 
-The harness measures what the solvers actually do.  Op counts (additions +
+The harness measures what the solvers actually do.  Sweeps and precision
+scans share one measurement loop (generate a known-answer instance, take the
+oracle's least k, solve, compare); a scan is a per-p failure census over that
+loop's record stream, and every result is written by one emitter.  Op counts (additions +
 subtractions) are the primary, machine-independent cost metric; wall time is
 recorded but never fitted by default.  Because the symbol n in a complexity
 claim like "order n squared" admits several readings, the fit accepts an
@@ -15,7 +18,9 @@ import json
 import random
 import statistics
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby, islice
 from math import gcd
 
 import numpy as np
@@ -87,10 +92,8 @@ def is_prime(n: int) -> bool:
 
 
 def least_k(inst: DlogInstance) -> int | None:
-    """Ground-truth least exponent via the oracle solvers."""
-    if gcd(inst.x, inst.p) == 1:
-        return bsgs_solve(inst)
-    return naive_solve(inst)
+    """Ground-truth least exponent: BSGS, which scans naively for a non-unit x."""
+    return bsgs_solve(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def solve(
     else:
         raise ValueError(f"algo {algo!r} is unknown, expected one of {list(ALGORITHMS)}")
     reason = SolveReason.FOUND if k is not None else SolveReason.EXHAUSTED_ITERATIONS
-    return SolveReport(k, reason, OpCounters(), 0)
+    return SolveReport(k, reason, OpCounters())
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.p_min <= self.p_max:
             raise ValueError(
-                f"need 2 <= p_min <= p_max, got p_min={self.p_min}, p_max={self.p_max}"
+                f"p_min must lie in [2, p_max], got p_min={self.p_min}, p_max={self.p_max}"
             )
         if self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")
@@ -222,30 +225,30 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     oracle's least k (not the generating exponent).  Moduli below 3 are
     skipped: no instance with base >= 2 exists there.
     """
-    records: list[SweepRecord] = []
+    return list(_sweep_records(cfg))
+
+
+def _sweep_records(cfg: SweepConfig) -> Iterator[SweepRecord]:
+    # The one measurement loop: records in p-ascending, then sample order.
     for p in range(max(cfg.p_min, 3), cfg.p_max + 1):
         if cfg.prime_only and not is_prime(p):
             continue
         for idx in range(cfg.samples_per_p):
-            gen = generate_instance(p, _child_seed(cfg.seed, p, idx))
-            inst = gen.instance
+            inst = generate_instance(p, _child_seed(cfg.seed, p, idx)).instance
             k_true = least_k(inst)
             t0 = time.perf_counter_ns()
             report = solve(cfg.algo, inst, cfg.mode, cfg.tolerance)
             wall = time.perf_counter_ns() - t0
-            records.append(
-                SweepRecord(
-                    p=p,
-                    x=inst.x,
-                    y=inst.y,
-                    k_true=k_true,
-                    k_found=report.k,
-                    counters=report.counters,
-                    wall_ns=wall,
-                    correct=report.k is not None and report.k == k_true,
-                )
+            yield SweepRecord(
+                p=p,
+                x=inst.x,
+                y=inst.y,
+                k_true=k_true,
+                k_found=report.k,
+                counters=report.counters,
+                wall_ns=wall,
+                correct=report.k is not None and report.k == k_true,
             )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -366,52 +369,41 @@ def precision_scan(
 ) -> ScanReport:
     """Hunt for the smallest p at which an approximate mode goes wrong.
 
-    Runs the arc solver in ``mode`` over ascending p against oracle answers.
-    A failure is any instance whose returned k differs from the oracle's
-    least k (missing answers included).  By default the scan stops after the
-    first failing p (completing that p's samples); pass
-    ``stop_at_first_failure=False`` for a full failure census up to p_max.
+    A per-p failure census of a rotor-real sweep over all p >= max(p_min, 3)
+    in ``mode``.  A failure is any instance whose returned k differs from the
+    oracle's least k (missing answers included).  By default the scan stops
+    after the first failing p (completing that p's samples, and generating
+    nothing past it); pass ``stop_at_first_failure=False`` for a full failure
+    census up to p_max.
     """
     if mode.is_exact:
-        raise ValueError("precision_scan requires an approximate mode")
-    check_tolerance(tolerance)
-    if samples_per_p < 1:
-        raise ValueError(f"samples_per_p must be >= 1, got {samples_per_p}")
-    p_min = max(p_min, 3)
-    if p_min > p_max:
-        raise ValueError(f"need p_min <= p_max, got p_min={p_min}, p_max={p_max}")
+        raise ValueError(f"mode must be approximate (float64 or fixed:<bits>), got {mode}")
+    cfg = SweepConfig(
+        max(p_min, 3), p_max, samples_per_p, seed,
+        prime_only=False, algo="rotor-real", mode=mode, tolerance=tolerance,
+    )
 
     buckets: list[ScanBucket] = []
-    first_failure_p: int | None = None
-    total = failures_total = 0
     stopped_early = False
-    for p in range(p_min, p_max + 1):
-        failures = 0
-        for idx in range(samples_per_p):
-            gen = generate_instance(p, _child_seed(seed, p, idx))
-            k_true = least_k(gen.instance)
-            report = rotor_solve_real(gen.instance, mode, tolerance)
-            if report.k != k_true:
-                failures += 1
+    for p, records in groupby(_sweep_records(cfg), key=lambda r: r.p):
+        # islice stops at p's last sample; ending the group would generate p+1's first.
+        # k_true is never None (y = x^k, k >= 1), so `not correct` is a wrong/missing k.
+        failures = sum(not r.correct for r in islice(records, samples_per_p))
         buckets.append(ScanBucket(p, samples_per_p, failures))
-        total += samples_per_p
-        failures_total += failures
-        if failures and first_failure_p is None:
-            first_failure_p = p
-            if stop_at_first_failure:
-                stopped_early = p < p_max
-                break
+        if failures and stop_at_first_failure:
+            stopped_early = p < p_max
+            break
     return ScanReport(
         mode=mode,
         tolerance=tolerance,
-        p_min=p_min,
+        p_min=cfg.p_min,
         p_max=p_max,
         samples_per_p=samples_per_p,
         seed=seed,
-        first_failure_p=first_failure_p,
+        first_failure_p=next((b.p for b in buckets if b.failures), None),
         buckets=tuple(buckets),
-        total_instances=total,
-        total_failures=failures_total,
+        total_instances=samples_per_p * len(buckets),
+        total_failures=sum(b.failures for b in buckets),
         stopped_early=stopped_early,
     )
 
@@ -437,54 +429,6 @@ def record_as_dict(record: SweepRecord) -> dict:
     }
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def emit_results(payload, format: str, path) -> None:
-    """Write sweep records, a fit result, or a scan report to CSV or JSON.
-
-    Record CSVs carry exactly the columns in ``CSV_COLUMNS`` with a header
-    row always present; JSON mirrors the same field names.  I/O failures
-    surface as ``EmitError`` with the destination path in the message.
-    """
-    fmt = format.lower()
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    try:
-        if isinstance(payload, list):
-            _emit_records(payload, fmt, path)
-        elif isinstance(payload, FitResult):
-            _emit_fit(payload, fmt, path)
-        elif isinstance(payload, ScanReport):
-            _emit_scan(payload, fmt, path)
-        else:
-            raise TypeError(
-                f"cannot emit payload of type {type(payload).__name__}; "
-                "expected a record list, FitResult or ScanReport"
-            )
-    except OSError as exc:
-        raise EmitError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit_records(records: list[SweepRecord], fmt: str, path) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for record in records:
-                row = record_as_dict(record)
-                writer.writerow(_csv_cell(row[col]) for col in CSV_COLUMNS)
-    else:
-        with open(path, "w") as fh:
-            json.dump([record_as_dict(r) for r in records], fh, indent=2)
-            fh.write("\n")
-
-
 def fit_as_dict(fit: FitResult) -> dict:
     return {
         "exponent": fit.exponent,
@@ -492,19 +436,6 @@ def fit_as_dict(fit: FitResult) -> dict:
         "r_squared": fit.r_squared,
         "n_definition": fit.n_definition,
     }
-
-
-def _emit_fit(fit: FitResult, fmt: str, path) -> None:
-    payload = fit_as_dict(fit)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(payload.keys())
-            writer.writerow(_csv_cell(v) for v in payload.values())
-    else:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def scan_as_dict(report: ScanReport) -> dict:
@@ -525,17 +456,51 @@ def scan_as_dict(report: ScanReport) -> dict:
     }
 
 
-def _emit_scan(report: ScanReport, fmt: str, path) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("p", "samples", "failures"))
-            for bucket in report.buckets:
-                writer.writerow((bucket.p, bucket.samples, bucket.failures))
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def emit_results(payload, format: str, path) -> None:
+    """Write sweep records, a fit result, or a scan report to CSV or JSON.
+
+    Record CSVs carry exactly the columns in ``CSV_COLUMNS`` with a header
+    row always present; JSON mirrors the same field names.  I/O failures
+    surface as ``EmitError`` with the destination path in the message.
+    """
+    fmt = format.lower()
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    # Each payload gives its JSON document, CSV header and CSV rows (as dicts).
+    if isinstance(payload, list):
+        # lazy, so a CSV of a long sweep holds one row dict at a time
+        document = rows = map(record_as_dict, payload)
+        header = CSV_COLUMNS
+    elif isinstance(payload, FitResult):
+        document = fit_as_dict(payload)
+        header, rows = tuple(document), [document]
+    elif isinstance(payload, ScanReport):
+        document = scan_as_dict(payload)
+        header, rows = ("p", "samples", "failures"), document["census"]
     else:
-        with open(path, "w") as fh:
-            json.dump(scan_as_dict(report), fh, indent=2)
-            fh.write("\n")
+        raise TypeError(
+            f"cannot emit payload of type {type(payload).__name__}; "
+            "expected a record list, FitResult or ScanReport"
+        )
+    try:
+        with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([_csv_cell(row[col]) for col in header] for row in rows)
+            else:
+                json.dump(document, fh, indent=2, default=list)  # default: the lazy record map
+                fh.write("\n")
+    except OSError as exc:
+        raise EmitError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .bench import (
     fit_as_dict,
     scan_as_dict,
 )
-from .numerics import NumericMode, check_tolerance, parse_mode
+from .numerics import NumericMode, parse_mode
 from .rotor import DlogInstance, SolveReport
 
 _VERIFY_P_MAX_LIMIT = 500  # guard against accidental multi-hour exhaustive runs
@@ -160,6 +160,8 @@ def _emit_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
+# Library checks word their messages to start with the offending field's
+# name, so every handler turns a ValueError into a usage error as "--<msg>".
 
 
 def _solve_payload(report: SolveReport) -> dict:
@@ -175,7 +177,6 @@ def _solve_payload(report: SolveReport) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    # Both checks word their messages to start with the offending field's name.
     try:
         inst = DlogInstance(args.p, args.x, args.y)
         check_solver_options(args.algo, args.mode, args.tolerance)
@@ -218,7 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             tolerance=args.tolerance,
         )
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"--{exc}") from exc
 
     records = bench.run_sweep(cfg)
     try:
@@ -269,26 +270,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_precision_scan(args: argparse.Namespace) -> int:
-    if args.mode.is_exact:
-        raise CliError("--mode must be an approximate mode (float64 or fixed:<bits>)")
     try:
-        check_tolerance(args.tolerance)
+        report = bench.precision_scan(
+            mode=args.mode,
+            tolerance=args.tolerance,
+            p_max=args.p_max,
+            samples_per_p=args.samples,
+            seed=args.seed,
+            p_min=args.p_min,
+            stop_at_first_failure=not args.scan_all,
+        )
     except ValueError as exc:
         raise CliError(f"--{exc}") from exc
-    if args.samples < 1:
-        raise CliError(f"--samples must be >= 1, got {args.samples}")
-    if args.p_min > args.p_max:
-        raise CliError(f"--p-min must not exceed --p-max, got {args.p_min} > {args.p_max}")
-
-    report = bench.precision_scan(
-        mode=args.mode,
-        tolerance=args.tolerance,
-        p_max=args.p_max,
-        samples_per_p=args.samples,
-        seed=args.seed,
-        p_min=args.p_min,
-        stop_at_first_failure=not args.scan_all,
-    )
     try:
         bench.emit_results(report, args.format, args.out)
     except EmitError as exc:

@@ -1,15 +1,14 @@
 """Independent ground-truth solvers for validating the rotor implementations.
 
-Both oracles work with one modular multiply per step (square-and-multiply
-for exponentiation), deliberately sharing no code path with the rotor
-solvers' repeated-addition arithmetic.  ``naive_solve`` scans successive
+Both oracles work with one modular multiply per step (the built-in
+three-argument ``pow`` for exponentiation), deliberately sharing no code
+path with the rotor solvers' repeated-addition arithmetic.  ``naive_solve`` scans successive
 powers; ``bsgs_solve`` is the standard meet-in-the-middle solver.  Both
 return the least exponent, with k = 0 answering y = 1.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -24,25 +23,13 @@ class NotAUnitError(ValueError):
     """Raised when an order is requested for x with gcd(x, p) != 1."""
 
 
-class OracleKind(str, Enum):
-    NAIVE_SCAN = "naive"
-    BABY_STEP_GIANT_STEP = "bsgs"
-
-
 def modpow(x: int, k: int, p: int) -> int:
-    """x**k mod p by square-and-multiply."""
+    """x**k mod p for a modulus p >= 2 and an exponent k >= 0."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
-    result = 1
-    base = x % p
-    while k:
-        if k & 1:
-            result = result * base % p
-        base = base * base % p
-        k >>= 1
-    return result
+    return pow(x, k, p)
 
 
 def naive_solve(inst: DlogInstance) -> int | None:
@@ -142,10 +129,3 @@ def bsgs_solve(inst: DlogInstance) -> int | None:
             return i * m + j
         gamma = gamma * inv_xm % p
     return None
-
-
-def oracle_solve(kind: OracleKind, inst: DlogInstance) -> int | None:
-    """Dispatch to the named oracle."""
-    if kind is OracleKind.NAIVE_SCAN:
-        return naive_solve(inst)
-    return bsgs_solve(inst)

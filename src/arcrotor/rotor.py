@@ -98,7 +98,6 @@ class SolveReport:
     k: int | None
     reason: SolveReason
     counters: OpCounters
-    steps: int
 
     def __post_init__(self) -> None:
         if (self.reason is SolveReason.FOUND) != (self.k is not None):
@@ -107,6 +106,11 @@ class SolveReport:
     @property
     def found(self) -> bool:
         return self.reason is SolveReason.FOUND
+
+    @property
+    def steps(self) -> int:
+        """Outer steps walked; 0 for the k=0/1 pre-checks and the oracles."""
+        return self.counters.outer_steps
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +160,12 @@ def _solve(inst: DlogInstance, walk, start, target, wrap, tol) -> SolveReport:
     # The loop's first comparison sees x^2; answer k=0 and k=1 beforehand.
     x, y = inst.x, inst.y
     if y == 1:
-        return SolveReport(0, SolveReason.FOUND, OpCounters(comparisons=1), 0)
+        return SolveReport(0, SolveReason.FOUND, OpCounters(comparisons=1))
     if y == x:
-        return SolveReport(1, SolveReason.FOUND, OpCounters(comparisons=2), 0)
+        return SolveReport(1, SolveReason.FOUND, OpCounters(comparisons=2))
     _, steps, subs, reason = walk(x, start, target, wrap, tol, inst.p - 1)
     k = steps + 1 if reason is SolveReason.FOUND else None
-    return SolveReport(k, reason, OpCounters(steps * x, subs, 2 + steps, steps), steps)
+    return SolveReport(k, reason, OpCounters(steps * x, subs, 2 + steps, steps))
 
 
 def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):

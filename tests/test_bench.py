@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from arcrotor import bench
 from arcrotor import (
     CSV_COLUMNS,
     EXACT,
@@ -15,6 +16,8 @@ from arcrotor import (
     FitResult,
     InsufficientDataError,
     OpCounters,
+    ScanBucket,
+    ScanReport,
     SweepConfig,
     SweepRecord,
     emit_results,
@@ -270,6 +273,9 @@ class TestPrecisionScan:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             precision_scan(FLOAT64_DEGREES, None, 5, 1, 1, p_min=10)
+        # p_min is raised to 3, the smallest modulus with an instance
+        with pytest.raises(ValueError, match="^p_min"):
+            precision_scan(FLOAT64_DEGREES, None, 2, 1, 1, p_min=2)
 
     def test_bad_tolerance_rejected(self):
         for bad in (-1.0, float("nan"), float("inf")):
@@ -277,7 +283,124 @@ class TestPrecisionScan:
                 precision_scan(FLOAT64_DEGREES, bad, 10, 1, 1)
 
 
+    def test_stop_mode_solves_no_modulus_past_the_first_failure(self, monkeypatch):
+        solved = []
+        real_solve = bench.rotor_solve_real
+
+        def counting_solve(inst, *args, **kwargs):
+            solved.append(inst.p)
+            return real_solve(inst, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "rotor_solve_real", counting_solve)
+        report = precision_scan(fixed_point(8), None, 2000, 3, 5)
+        assert report.stopped_early
+        assert len(solved) == (report.first_failure_p - 2) * 3
+        assert max(solved) == report.first_failure_p
+
+
+GOLDEN_PAYLOADS = {
+    "records": [
+        SweepRecord(373, 13, 158, 5, 5, OpCounters(52, 23, 6, 4), 123, True),
+        SweepRecord(5, 4, 3, None, None, OpCounters(8, 6, 4, 2), 9, False),
+    ],
+    "fit": FitResult(2.0312, 1.9459101090932196, 0.9375, "bits_of_p"),
+    "scan": ScanReport(
+        mode=fixed_point(8),
+        tolerance=0.25,
+        p_min=3,
+        p_max=5,
+        samples_per_p=2,
+        seed=7,
+        first_failure_p=4,
+        buckets=(ScanBucket(3, 2, 0), ScanBucket(4, 2, 1)),
+        total_instances=4,
+        total_failures=1,
+        stopped_early=True,
+    ),
+}
+
+GOLDEN_BYTES = {
+    ("records", "csv"): (
+        b"p,x,y,k_true,k_found,additions,subtractions,comparisons,outer_steps,wall_ns,correct\r\n"
+        b"373,13,158,5,5,52,23,6,4,123,true\r\n"
+        b"5,4,3,,,8,6,4,2,9,false\r\n"
+    ),
+    ("records", "json"): b"""[
+  {
+    "p": 373,
+    "x": 13,
+    "y": 158,
+    "k_true": 5,
+    "k_found": 5,
+    "additions": 52,
+    "subtractions": 23,
+    "comparisons": 6,
+    "outer_steps": 4,
+    "wall_ns": 123,
+    "correct": true
+  },
+  {
+    "p": 5,
+    "x": 4,
+    "y": 3,
+    "k_true": null,
+    "k_found": null,
+    "additions": 8,
+    "subtractions": 6,
+    "comparisons": 4,
+    "outer_steps": 2,
+    "wall_ns": 9,
+    "correct": false
+  }
+]
+""",
+    ("fit", "csv"): (
+        b"exponent,intercept,r_squared,n_definition\r\n"
+        b"2.0312,1.9459101090932196,0.9375,bits_of_p\r\n"
+    ),
+    ("fit", "json"): b"""{
+  "exponent": 2.0312,
+  "intercept": 1.9459101090932196,
+  "r_squared": 0.9375,
+  "n_definition": "bits_of_p"
+}
+""",
+    ("scan", "csv"): b"p,samples,failures\r\n3,2,0\r\n4,2,1\r\n",
+    ("scan", "json"): b"""{
+  "mode": "fixed:8",
+  "tolerance_degrees": 0.25,
+  "p_min": 3,
+  "p_max": 5,
+  "samples_per_p": 2,
+  "seed": 7,
+  "first_failure_p": 4,
+  "total_instances": 4,
+  "total_failures": 1,
+  "stopped_early": true,
+  "census": [
+    {
+      "p": 3,
+      "samples": 2,
+      "failures": 0
+    },
+    {
+      "p": 4,
+      "samples": 2,
+      "failures": 1
+    }
+  ]
+}
+""",
+}
+
+
 class TestEmitResults:
+    @pytest.mark.parametrize("name,fmt", sorted(GOLDEN_BYTES))
+    def test_golden_bytes(self, tmp_path, name, fmt):
+        path = tmp_path / f"{name}.{fmt}"
+        emit_results(GOLDEN_PAYLOADS[name], fmt, path)
+        assert path.read_bytes() == GOLDEN_BYTES[name, fmt]
+
     def one_record(self):
         return SweepRecord(
             p=373,

@@ -241,6 +241,18 @@ class TestPrecisionScan:
         assert code == 2
         assert "approximate" in err
 
+    @pytest.mark.parametrize("p_min", ["1", "2"])
+    def test_range_below_three_is_usage_error(self, capsys, tmp_path, p_min):
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run_cli(
+            capsys,
+            "precision-scan", "--mode", "float64", "--p-min", p_min, "--p-max", "2",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert "p_min" in err
+        assert not out_path.exists()
+
     def test_bad_tolerance_is_usage_error(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
         for bad in ("-1", "nan", "inf"):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from arcrotor import (
     DlogInstance,
     NotAUnitError,
-    OracleKind,
     bsgs_solve,
     modpow,
     multiplicative_order,
     naive_solve,
-    oracle_solve,
 )
 
 
@@ -108,11 +106,6 @@ class TestBsgsSolve:
         y = data.draw(st.integers(1, p - 1))
         inst = DlogInstance(p, x, y)
         assert bsgs_solve(inst) == naive_solve(inst)
-
-    def test_oracle_dispatch(self):
-        inst = DlogInstance(373, 13, 158)
-        assert oracle_solve(OracleKind.NAIVE_SCAN, inst) == 5
-        assert oracle_solve(OracleKind.BABY_STEP_GIANT_STEP, inst) == 5
 
 
 class TestMultiplicativeOrder:

@@ -49,9 +49,9 @@ class TestInstanceValidation:
 
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError):
-            SolveReport(5, SolveReason.CYCLE_DETECTED, OpCounters(), 1)
+            SolveReport(5, SolveReason.CYCLE_DETECTED, OpCounters(outer_steps=1))
         with pytest.raises(ValueError):
-            SolveReport(None, SolveReason.FOUND, OpCounters(), 1)
+            SolveReport(None, SolveReason.FOUND, OpCounters(outer_steps=1))
 
 
 class TestRotorSolveReal:
