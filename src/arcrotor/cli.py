@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Sequence
 
@@ -28,6 +29,9 @@ from .rotor import DlogInstance, SolveReport
 
 _VERIFY_P_MAX_LIMIT = 500  # guard against accidental multi-hour exhaustive runs
 _DEFAULT_SEED = 1
+# Library fields set by a flag of another name, and their "field=value" mentions.
+_FLAG_OF_FIELD = {"p_min": "--p-min", "p_max": "--p-max", "samples_per_p": "--samples"}
+_FIELD_RE = re.compile(rf"\b({'|'.join(_FLAG_OF_FIELD)})\b(?:=([^,\s]+))?")
 
 
 class CliError(RuntimeError):
@@ -161,7 +165,26 @@ def _emit_json(payload: dict) -> None:
 # Handlers
 # ---------------------------------------------------------------------------
 # Library checks word their messages to start with the offending field's
-# name, so every handler turns a ValueError into a usage error as "--<msg>".
+# name, so every handler turns a ValueError into a usage error through
+# _usage_error, which names the flag the user typed.
+
+
+def _usage_error(exc: ValueError, args: argparse.Namespace) -> CliError:
+    """A library ValueError as exit 2, naming flags and the values as typed.
+
+    A value the library checked in another form (precision-scan raises
+    --p-min to 3) is reported as typed, followed by the value checked.
+    """
+
+    def as_flag(match: re.Match) -> str:
+        flag = _FLAG_OF_FIELD[match[1]]
+        if match[2] is None:
+            return flag
+        typed = str(getattr(args, flag[2:].replace("-", "_")))
+        return f"{flag} {typed}" + ("" if typed == match[2] else f" (checked as {match[2]})")
+
+    message = _FIELD_RE.sub(as_flag, str(exc))
+    return CliError(message if message.startswith("--") else f"--{message}")
 
 
 def _solve_payload(report: SolveReport) -> dict:
@@ -181,7 +204,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         inst = DlogInstance(args.p, args.x, args.y)
         check_solver_options(args.algo, args.mode, args.tolerance)
     except ValueError as exc:
-        raise CliError(f"--{exc}") from exc
+        raise _usage_error(exc, args) from exc
     report = bench.solve(args.algo, inst, args.mode, args.tolerance)
     _emit_json(_solve_payload(report))
     return 0 if report.found else 1
@@ -219,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             tolerance=args.tolerance,
         )
     except ValueError as exc:
-        raise CliError(f"--{exc}") from exc
+        raise _usage_error(exc, args) from exc
 
     records = bench.run_sweep(cfg)
     try:
@@ -281,7 +304,7 @@ def _cmd_precision_scan(args: argparse.Namespace) -> int:
             stop_at_first_failure=not args.scan_all,
         )
     except ValueError as exc:
-        raise CliError(f"--{exc}") from exc
+        raise _usage_error(exc, args) from exc
     try:
         bench.emit_results(report, args.format, args.out)
     except EmitError as exc:

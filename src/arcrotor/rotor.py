@@ -12,9 +12,15 @@ per arithmetic family:
   add/subtract there is an exact integer operation, so the repeated addition
   is folded into one multiplication and the wrap loop into one division,
   with identical results and identical operation counts.
-* ``_walk_float`` serves float64 mode (degrees, wrap 360.0) and executes the
-  literal loops, because their per-operation rounding is precisely what a
-  precision scan measures.
+* ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
+  per-operation rounding is precisely what a precision scan measures, so
+  its result is identical to the literal loops' (value, bit for bit, and
+  counts), and the literal loops run only where a step can round.  The
+  x-fold addition is one multiplication when the accumulator's mantissa
+  times x fits in 53 bits, so every partial sum is exact.  The wrap is one
+  ``fmod`` when the wrap bound is an integer and the sum is below 2**53, so
+  every subtraction is exact.  In a solve the first step (from x * theta)
+  and a few percent of the later ones take the literal addition loop.
 
 ``rotor_solve_int``, ``rotor_solve_real`` and the single-step driver
 ``rotor_step`` are thin views over these two kernels.
@@ -40,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import fmod
 
 from .counters import OpCounters
 from .numerics import EXACT, NumericMode, check_tolerance, default_tolerance
@@ -121,6 +128,8 @@ class SolveReport:
 # of x^1) and return (acc, steps, subtractions, reason).  The loops stay
 # inline: a per-step helper call costs a measurable share of a sweep.
 
+_EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
+
 
 def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int):
     first = acc
@@ -139,16 +148,41 @@ def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int
 
 
 def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_steps: int):
+    # Identical to the literal loops (value, bit for bit, and counts), which
+    # run only where a step can round.
+    # Addition: with acc = n / 2**e, every partial sum j*acc (j <= x) is a
+    # float64 when 0 < n*x < 2**53, so all x adds are exact and equal acc * x.
+    # (n > 0 keeps -0.0, whose literal sum is +0.0, on the literal loop.)
+    # Wrap: with an integral wrap and acc < 2**53, wrap is a multiple of acc's
+    # ulp (at most 1), so every `acc -= wrap` is exact.  The loop then ends at
+    # rem = fmod(acc, wrap) after m = (acc - rem) / wrap subtractions, both
+    # exact, except that an exact multiple settles at the bound after m - 1
+    # (the strict > quirk).  `wrap == int(wrap)` also takes an int wrap on
+    # Python < 3.12, which has no int.is_integer.
+    fold_wrap = 0 < wrap < _EXACT_INT and wrap == int(wrap)
     first = acc
     subs = 0
     for steps in range(1, max_steps + 1):
-        total = 0.0
-        for _ in range(x):  # literal repeated addition; rounding accumulates
-            total += acc
-        acc = total
-        while acc > wrap:
-            acc -= wrap
-            subs += 1
+        if 0 < acc.as_integer_ratio()[0] * x < _EXACT_INT:
+            acc *= x
+        else:
+            total = 0.0
+            for _ in range(x):  # literal repeated addition; rounding accumulates
+                total += acc
+            acc = total
+        if acc > wrap:
+            if fold_wrap and acc < _EXACT_INT:
+                rem = fmod(acc, wrap)
+                m = int((acc - rem) / wrap)
+                if rem == 0.0:
+                    rem = float(wrap)
+                    m -= 1
+                acc = rem
+                subs += m
+            else:
+                while acc > wrap:
+                    acc -= wrap
+                    subs += 1
         if abs(acc - target) <= tol:
             return acc, steps, subs, SolveReason.FOUND
         if acc == first:

@@ -171,7 +171,7 @@ class TestSweep:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
-        assert "p_min" in err
+        assert "--p-min" in err
 
     def test_mode_needs_rotor_real(self, capsys, tmp_path):
         out_path = tmp_path / "s.csv"
@@ -250,7 +250,32 @@ class TestPrecisionScan:
             "--out", str(out_path),
         )
         assert (code, out) == (2, "")
-        assert "p_min" in err
+        assert "--p-min" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ("--samples", "0", "--p-max", "10"),
+                "error: --samples must be >= 1, got 0",
+            ),
+            (
+                ("--p-min", "1", "--p-max", "2"),
+                "error: --p-min must lie in [2, --p-max], got --p-min 1 (checked as 3), --p-max 2",
+            ),
+            (
+                ("--p-min", "20", "--p-max", "10"),
+                "error: --p-min must lie in [2, --p-max], got --p-min 20, --p-max 10",
+            ),
+        ],
+    )
+    def test_usage_error_names_flags_as_typed(self, capsys, tmp_path, flags, message):
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run_cli(
+            capsys, "precision-scan", "--mode", "float64", *flags, "--out", str(out_path)
+        )
+        assert (code, out, err) == (2, "", message + "\n")
         assert not out_path.exists()
 
     def test_bad_tolerance_is_usage_error(self, capsys, tmp_path):

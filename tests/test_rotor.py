@@ -31,6 +31,45 @@ from arcrotor import (
 APPENDIX = DlogInstance(373, 13, 158)
 
 
+def _literal_step(acc, x, wrap):
+    """The paper's outer step: x-fold repeated addition, then subtract while > wrap."""
+    total = 0.0 if isinstance(acc, float) else 0
+    for _ in range(x):
+        total += acc
+    subs = 0
+    while total > wrap:
+        total -= wrap
+        subs += 1
+    return total, subs
+
+
+def _literal_float64_solve(inst, tolerance):
+    """Reference float64 solve, loop for loop: (k, reason, counters)."""
+    p, x, y = inst.p, inst.x, inst.y
+    if y == 1:
+        return 0, SolveReason.FOUND, OpCounters(comparisons=1)
+    if y == x:
+        return 1, SolveReason.FOUND, OpCounters(comparisons=2)
+    theta = 360.0 / p
+    first = acc = x * theta
+    target = y * theta
+    tol = 180.0 / p if tolerance is None else tolerance
+    subs = 0
+    for step in range(1, p):
+        acc, m = _literal_step(acc, x, 360.0)
+        subs += m
+        if abs(acc - target) <= tol:
+            return step + 1, SolveReason.FOUND, OpCounters(step * x, subs, step + 2, step)
+        if acc == first:
+            return None, SolveReason.CYCLE_DETECTED, OpCounters(step * x, subs, step + 2, step)
+    return None, SolveReason.EXHAUSTED_ITERATIONS, OpCounters((p - 1) * x, subs, p + 1, p - 1)
+
+
+def _bits(value):
+    """A float by its exact bits (so -0.0 != 0.0), an int as itself."""
+    return value.hex() if isinstance(value, float) else value
+
+
 class TestInstanceValidation:
     @pytest.mark.parametrize(
         "p,x,y",
@@ -90,6 +129,16 @@ class TestRotorSolveReal:
         report = rotor_solve_real(APPENDIX, FLOAT64_DEGREES, 0.0)
         assert report.k is None
         assert report.steps == 372
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.data())
+    def test_float64_solve_matches_literal_procedure(self, p, data):
+        x = data.draw(st.integers(1, p - 1), label="x")
+        y = data.draw(st.integers(1, p - 1), label="y")
+        tol = data.draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 2.0)), label="tol")
+        inst = DlogInstance(p, x, y)
+        report = rotor_solve_real(inst, FLOAT64_DEGREES, tol)
+        assert (report.k, report.reason, report.counters) == _literal_float64_solve(inst, tol)
 
     def test_fixed_point_precision_dependent(self):
         wide = rotor_solve_real(APPENDIX, fixed_point(32))
@@ -197,27 +246,53 @@ class TestRotorStep:
         assert c.subtractions == 0
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 400),
-        st.one_of(st.integers(2, 10**4), st.integers(8, 40).map(lambda b: 360 << b)),
-        st.data(),
-    )
-    def test_step_matches_literal_procedure(self, x, wrap, data):
-        acc = data.draw(st.integers(0, wrap))  # the accumulator's range in a solve
-        # the fold must equal the paper's procedure: x-fold addition, then
-        # subtract while strictly above the wrap, counting each subtraction
-        total = 0
-        for _ in range(x):
-            total += acc
-        subs = 0
-        while total > wrap:
-            total -= wrap
-            subs += 1
+    @given(st.data())
+    def test_step_matches_literal_procedure(self, data):
+        # the fold must equal the paper's procedure in value, bit for bit, and
+        # in counts, for every arithmetic family
+        if data.draw(st.booleans(), label="float64"):
+            x = data.draw(st.integers(1, 3000), label="x")
+            wrap = 360.0
+            acc = data.draw(
+                st.one_of(
+                    st.floats(0.0, 360.0, exclude_min=True),  # full mantissa
+                    st.integers(0, 40).flatmap(  # short mantissa, as after a wrap
+                        lambda k: st.integers(1, 360 << k).map(lambda n: n / 2**k)
+                    ),
+                ),
+                label="acc",
+            )
+        else:
+            x = data.draw(st.integers(1, 400), label="x")
+            wrap = data.draw(
+                st.one_of(st.integers(2, 10**4), st.integers(8, 40).map(lambda b: 360 << b)),
+                label="wrap",
+            )
+            acc = data.draw(st.integers(0, wrap), label="acc")  # its range in a solve
+        total, subs = _literal_step(acc, x, wrap)
         c = OpCounters()
         state = rotor_step(RotorState(acc=acc, target=0, exponent=1), x, wrap, c)
-        assert state.acc == total
+        assert _bits(state.acc) == _bits(total)
         assert c.subtractions == subs
         assert c.additions == x
+
+    @pytest.mark.parametrize(
+        "acc,x,wrap",
+        [
+            (7.3, 5, 0.1),  # non-integral wrap: subtractions can round, so they run literally
+            (120.0, 6, 360),  # int wrap; 720 settles at the bound, which must stay a float
+            (97.25, 41, 360),  # int wrap, nonzero remainder
+            # odd mantissa: 3*acc is a round-half-to-even tie, so the six literal
+            # adds end one ulp below 6*acc, and only the literal loop gets that
+            (float.fromhex("0x1.0000000000001p+8"), 6, 360.0),
+        ],
+    )
+    def test_float_step_edge_cases_match_literal_loops(self, acc, x, wrap):
+        total, subs = _literal_step(acc, x, wrap)
+        c = OpCounters()
+        state = rotor_step(RotorState(acc=acc, target=0.0, exponent=1), x, wrap, c)
+        assert _bits(state.acc) == _bits(total)
+        assert (c.additions, c.subtractions) == (x, subs)
 
     def test_projected_exact_state(self):
         state = initial_projected_state(APPENDIX, EXACT)
