@@ -508,6 +508,9 @@ def emit_results(payload, format: str, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+_EXAMPLE_LIMIT = 10  # mismatch messages kept in an EquivalenceResult
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     p_max: int
@@ -516,14 +519,13 @@ class EquivalenceResult:
     examples: tuple[str, ...]
 
 
-def verify_equivalence(p_max: int, example_limit: int = 10) -> EquivalenceResult:
+def verify_equivalence(p_max: int) -> EquivalenceResult:
     """Check all solvers agree on every instance with p <= p_max.
 
-    For every p and every valid (x, y): the integer-field rotor, the exact
-    arc rotor and the brute-force scan must agree on existence and least k
-    (baby-step giant-step too, where gcd(x, p) = 1), and the two rotor
-    routes must charge identical additions and outer steps.  Returns the
-    instance count and any mismatches found.
+    For every p and every valid (x, y): the rotor (``rotor_solve_int``, the
+    one exact route) and the brute-force scan must agree on existence and
+    least k, and so must baby-step giant-step where gcd(x, p) = 1.  Returns
+    the instance count, the mismatch count and the first ten mismatches.
     """
     instances = 0
     mismatches = 0
@@ -532,7 +534,7 @@ def verify_equivalence(p_max: int, example_limit: int = 10) -> EquivalenceResult
     def note(message: str) -> None:
         nonlocal mismatches
         mismatches += 1
-        if len(examples) < example_limit:
+        if len(examples) < _EXAMPLE_LIMIT:
             examples.append(message)
 
     for p in range(2, p_max + 1):
@@ -545,14 +547,6 @@ def verify_equivalence(p_max: int, example_limit: int = 10) -> EquivalenceResult
                 ri = rotor_solve_int(inst)
                 if ri.k != expected:
                     note(f"rotor-int p={p} x={x} y={y}: got {ri.k}, oracle {expected}")
-                rr = rotor_solve_real(inst, EXACT)
-                if rr.k != expected:
-                    note(f"rotor-real p={p} x={x} y={y}: got {rr.k}, oracle {expected}")
-                if (
-                    rr.counters.additions != ri.counters.additions
-                    or rr.counters.outer_steps != ri.counters.outer_steps
-                ):
-                    note(f"counter mismatch p={p} x={x} y={y}")
                 if x_is_unit:
                     bk = bsgs_solve(inst)
                     if bk != expected:

@@ -7,11 +7,11 @@ against the target once per outer step.  Every solve differs only in its
 start value, target, wrap bound and tolerance, so the walk is written once
 per arithmetic family:
 
-* ``_walk_int`` serves the integer field (wrap p), exact arc mode (numerator
-  units, wrap p) and fixed-point mode (raw units, wrap 360 * 2**bits).  Every
-  add/subtract there is an exact integer operation, so the repeated addition
-  is folded into one multiplication and the wrap loop into one division,
-  with identical results and identical operation counts.
+* ``_walk_int`` serves the integer field (wrap p) and fixed-point mode (raw
+  units, wrap 360 * 2**bits).  Every add/subtract there is an exact integer
+  operation, so the repeated addition is folded into one multiplication and
+  the wrap loop into one division, with identical results and identical
+  operation counts.
 * ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
   per-operation rounding is precisely what a precision scan measures, so
   its result is identical to the literal loops' (value, bit for bit, and
@@ -23,7 +23,8 @@ per arithmetic family:
   and a few percent of the later ones take the literal addition loop.
 
 ``rotor_solve_int``, ``rotor_solve_real`` and the single-step driver
-``rotor_step`` are thin views over these two kernels.
+``rotor_step`` are thin views over these two kernels; exact arc mode is a
+view of the integer-field solve.
 
 Faithfulness notes that shape the observable behaviour:
 
@@ -203,13 +204,8 @@ def _solve(inst: DlogInstance, walk, start, target, wrap, tol) -> SolveReport:
 
 
 def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
-    """Kernel, start, target, wrap and tolerance of an arc solve, in mode units."""
+    """Kernel, start, target, wrap and tolerance of a float64 or fixed-point arc solve."""
     p, x, y = inst.p, inst.x, inst.y
-    if mode.is_exact:
-        # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
-        # and y' = y*theta carry numerators x and y, and the 360-degree wrap
-        # point is numerator p.  No tolerance is needed.
-        return _walk_int, x, y, p, 0
     if mode.kind == "float64":
         theta = 360.0 / p
         return _walk_float, x * theta, y * theta, 360.0, tolerance
@@ -233,11 +229,14 @@ def rotor_step(
 ) -> RotorState:
     """Advance one outer iteration: x-fold add, wrap, increment the exponent.
 
-    ``wrap`` is in the state's native units: p for integer-field and
-    exact-arc states, 360 << bits for fixed-point states, 360.0 for float64
-    states.  Runs the solvers' own kernel for one step; exactly x additions
-    and that step's subtractions are charged to ``counters``.
+    ``wrap`` must be positive, in the state's native units: p for
+    integer-field and exact-arc states, 360 << bits for fixed-point states,
+    360.0 for float64 states.  Runs the solvers' own kernel for one step;
+    exactly x additions and that step's subtractions are charged to
+    ``counters``.
     """
+    if not wrap > 0:  # also rejects nan
+        raise ValueError(f"wrap must be positive, got {wrap}")
     walk = _walk_float if isinstance(state.acc, float) else _walk_int
     acc, _, subs, _ = walk(x, state.acc, state.target, wrap, 0, 1)
     counters.additions += x
@@ -255,8 +254,10 @@ def initial_projected_state(inst: DlogInstance, mode: NumericMode = EXACT) -> Ro
 
     Approximate modes compute the step theta = 360/p first in mode
     arithmetic, then scale it by the integers x and y (two rounding steps in
-    float64, one in fixed point).
+    float64, one in fixed point).  Exact mode starts as the integer field.
     """
+    if mode.is_exact:
+        return initial_state(inst)
     _, start, target, _, _ = _arc_setup(inst, mode, 0.0)
     return RotorState(start, target, 1)
 
@@ -286,18 +287,22 @@ def rotor_solve_real(
 ) -> SolveReport:
     """Rotor solve on the 360-degree arc projection.
 
-    In exact mode the result always agrees with the oracle and the tolerance
-    is ignored.  In approximate modes the comparison uses ``tolerance``
-    degrees (default: half the angular step, 180/p); a wrong or missing k is
-    a measurable outcome, not an error.  A given tolerance must be finite
-    and non-negative in every mode.
+    In exact mode the result is ``rotor_solve_int``'s, which always agrees
+    with the oracle, and the tolerance is ignored.  In approximate modes the
+    comparison uses ``tolerance`` degrees (default: half the angular step,
+    180/p); a wrong or missing k is a measurable outcome, not an error.  A
+    given tolerance must be finite and non-negative in every mode.
     """
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
     if not isinstance(mode, NumericMode):
         raise ValueError(f"expected a NumericMode, got {type(mode).__name__}")
+    check_tolerance(tolerance)
+    if mode.is_exact:
+        # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
+        # and y' = y*theta carry numerators x and y, and the 360-degree wrap
+        # point is numerator p: the integer field, with no tolerance needed.
+        return rotor_solve_int(inst)
     if tolerance is None:
         tolerance = default_tolerance(mode, inst.p)
-    else:
-        check_tolerance(tolerance)
     return _solve(inst, *_arc_setup(inst, mode, tolerance))

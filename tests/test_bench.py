@@ -18,6 +18,8 @@ from arcrotor import (
     OpCounters,
     ScanBucket,
     ScanReport,
+    SolveReason,
+    SolveReport,
     SweepConfig,
     SweepRecord,
     emit_results,
@@ -487,3 +489,35 @@ class TestVerifyEquivalence:
         assert result.mismatches == 0
         assert result.examples == ()
         assert result.instances == sum((p - 1) ** 2 for p in range(2, 31))
+
+    @pytest.mark.parametrize(
+        "name,label", [("rotor_solve_int", "rotor-int"), ("bsgs_solve", "bsgs")]
+    )
+    def test_one_wrong_answer_is_one_mismatch(self, monkeypatch, name, label):
+        # 3^3 = 6 (mod 7), so the least k is 3; the patched solver answers 4 there
+        solver = getattr(bench, name)
+
+        def wrong_on_7_3_6(inst):
+            out = solver(inst)
+            if (inst.p, inst.x, inst.y) != (7, 3, 6):
+                return out
+            if isinstance(out, SolveReport):
+                return SolveReport(out.k + 1, out.reason, out.counters)
+            return out + 1
+
+        monkeypatch.setattr(bench, name, wrong_on_7_3_6)
+        result = verify_equivalence(12)
+        assert result.instances == sum((p - 1) ** 2 for p in range(2, 13))
+        assert result.mismatches == 1
+        assert result.examples == (f"{label} p=7 x=3 y=6: got 4, oracle 3",)
+
+    def test_always_wrong_rotor_keeps_ten_examples(self, monkeypatch):
+        # k = p is never a least exponent, so every instance mismatches once
+        def always_wrong(inst):
+            return SolveReport(inst.p, SolveReason.FOUND, OpCounters())
+
+        monkeypatch.setattr(bench, "rotor_solve_int", always_wrong)
+        result = verify_equivalence(12)
+        assert result.mismatches == result.instances == sum((p - 1) ** 2 for p in range(2, 13))
+        assert len(result.examples) == 10
+        assert result.examples[0] == "rotor-int p=2 x=1 y=1: got 2, oracle 0"

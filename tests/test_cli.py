@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from arcrotor import OpCounters, SolveReason, SolveReport, bench
 from arcrotor.cli import main
 
 
@@ -120,6 +121,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--p-max", "2")
         assert code == 0
         assert parse_stdout(out)["instances"] == 1
+
+    def test_mismatch_exits_one_and_lists_examples(self, capsys, monkeypatch):
+        # k = p is never a least exponent, so every instance mismatches
+        def always_wrong(inst):
+            return SolveReport(inst.p, SolveReason.FOUND, OpCounters())
+
+        monkeypatch.setattr(bench, "rotor_solve_int", always_wrong)
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "10")
+        payload = parse_stdout(out)
+        assert code == 1
+        assert payload["instances"] == sum((p - 1) ** 2 for p in range(2, 11))
+        assert payload["mismatches"] == payload["instances"]
+        assert len(payload["examples"]) == 10
+        assert payload["examples"][0] == "rotor-int p=2 x=1 y=1: got 2, oracle 0"
 
     def test_guard_against_huge_runs(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p-max", "1000")

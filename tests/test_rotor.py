@@ -294,6 +294,16 @@ class TestRotorStep:
         assert _bits(state.acc) == _bits(total)
         assert (c.additions, c.subtractions) == (x, subs)
 
+    @pytest.mark.parametrize("wrap", [0, -5, 0.0, -1.0, float("nan")])
+    def test_non_positive_wrap_rejected(self, wrap):
+        # a float wrap takes the float kernel, whose literal subtraction loop
+        # never ends at a wrap <= 0
+        acc = 10.0 if isinstance(wrap, float) else 10
+        c = OpCounters()
+        with pytest.raises(ValueError, match="wrap must be positive"):
+            rotor_step(RotorState(acc=acc, target=0, exponent=1), 1, wrap, c)
+        assert c == OpCounters()
+
     def test_projected_exact_state(self):
         state = initial_projected_state(APPENDIX, EXACT)
         assert state == RotorState(acc=13, target=158, exponent=1)
