@@ -9,9 +9,10 @@ per arithmetic family:
 
 * ``_walk_int`` serves the integer field (wrap p) and fixed-point mode (raw
   units, wrap 360 * 2**bits).  Every add/subtract there is an exact integer
-  operation, so the repeated addition is folded into one multiplication and
-  the wrap loop into one division, with identical results and identical
-  operation counts.
+  operation, so a step is one multiplication (the repeated addition) and
+  one ``%`` (the wrap loop), with identical results.  The subtraction
+  count comes once per walk from the sum of the walked values, identical
+  to the literal loops' tally.
 * ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
   per-operation rounding is precisely what a precision scan measures, so
   its result is identical to the literal loops' (value, bit for bit, and
@@ -133,19 +134,45 @@ _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 
 
 def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int):
-    first = acc
-    subs = 0
-    for steps in range(1, max_steps + 1):
-        acc *= x  # exact fold of x-fold repeated addition
-        if acc > wrap:
-            m = (acc - 1) // wrap  # exact fold of the strict-> subtraction loop
-            acc -= m * wrap
-            subs += m
-        if abs(acc - target) <= tol:
-            return acc, steps, subs, SolveReason.FOUND
-        if acc == first:
-            return acc, steps, subs, SolveReason.CYCLE_DETECTED
-    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+    # `acc *= x` is the exact fold of x-fold repeated addition, and
+    # `acc % wrap or wrap` that of the strict-> subtraction loop: an exact
+    # multiple settles at the bound.  The `> wrap` guard leaves a value
+    # <= wrap unchanged, as the literal loop does: a fixed-point walk whose
+    # theta rounds to 0 raw units sits at 0 and must not move to the bound.
+    # Each step satisfies x * a[j-1] = m[j] * wrap + a[j], with m[j] its
+    # subtraction count (0 without a wrap).  Summed over the walk,
+    # x * (a[0] + ... + a[n-1]) = wrap * sum(m) + (a[1] + ... + a[n]), so the
+    # loop keeps only the running sum `total` of a[1..n], and sum(m) is one
+    # exact division at the end.  Equality is the cheaper test, so tol == 0
+    # (the integer field and every rotor_step) gets its own loop.
+    first, total = acc, 0
+    steps, reason = max_steps, SolveReason.EXHAUSTED_ITERATIONS
+    if tol == 0:
+        for steps in range(1, max_steps + 1):
+            acc *= x
+            if acc > wrap:
+                acc = acc % wrap or wrap
+            total += acc
+            if acc == target:
+                reason = SolveReason.FOUND
+                break
+            if acc == first:
+                reason = SolveReason.CYCLE_DETECTED
+                break
+    else:
+        lo, hi = target - tol, target + tol
+        for steps in range(1, max_steps + 1):
+            acc *= x
+            if acc > wrap:
+                acc = acc % wrap or wrap
+            total += acc
+            if lo <= acc <= hi:
+                reason = SolveReason.FOUND
+                break
+            if acc == first:
+                reason = SolveReason.CYCLE_DETECTED
+                break
+    return acc, steps, (x * (first + total - acc) - total) // wrap, reason
 
 
 def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_steps: int):

@@ -1,6 +1,7 @@
 """Rotor solver behaviour: worked trajectories, counters, invariants."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -43,26 +44,45 @@ def _literal_step(acc, x, wrap):
     return total, subs
 
 
-def _literal_float64_solve(inst, tolerance):
-    """Reference float64 solve, loop for loop: (k, reason, counters)."""
+def _literal_solve(inst, first, target, wrap, tol):
+    """The paper's solve from x^1 = first, loop for loop: (k, reason, counters)."""
     p, x, y = inst.p, inst.x, inst.y
     if y == 1:
         return 0, SolveReason.FOUND, OpCounters(comparisons=1)
     if y == x:
         return 1, SolveReason.FOUND, OpCounters(comparisons=2)
-    theta = 360.0 / p
-    first = acc = x * theta
-    target = y * theta
-    tol = 180.0 / p if tolerance is None else tolerance
+    acc = first
     subs = 0
     for step in range(1, p):
-        acc, m = _literal_step(acc, x, 360.0)
+        acc, m = _literal_step(acc, x, wrap)
         subs += m
         if abs(acc - target) <= tol:
             return step + 1, SolveReason.FOUND, OpCounters(step * x, subs, step + 2, step)
         if acc == first:
             return None, SolveReason.CYCLE_DETECTED, OpCounters(step * x, subs, step + 2, step)
     return None, SolveReason.EXHAUSTED_ITERATIONS, OpCounters((p - 1) * x, subs, p + 1, p - 1)
+
+
+def _literal_float64_solve(inst, tolerance):
+    """Reference float64 solve, loop for loop: (k, reason, counters)."""
+    theta = 360.0 / inst.p
+    tol = 180.0 / inst.p if tolerance is None else tolerance
+    return _literal_solve(inst, inst.x * theta, inst.y * theta, 360.0, tol)
+
+
+def _literal_int_solve(inst, mode, tolerance):
+    """Reference integer-field (exact mode) or fixed-point solve, loop for loop.
+
+    Fixed point with b fractional bits walks raw units with wrap 360 * 2**b,
+    from the documented rule theta_raw = round(360 * 2**b / p), and a
+    tolerance rounded to raw units.
+    """
+    if mode.is_exact:
+        return _literal_solve(inst, inst.x, inst.y, inst.p, 0)
+    scale = 2**mode.fractional_bits
+    theta_raw = round(Fraction(360 * scale, inst.p))
+    tol = round((180.0 / inst.p if tolerance is None else tolerance) * scale)
+    return _literal_solve(inst, inst.x * theta_raw, inst.y * theta_raw, 360 * scale, tol)
 
 
 def _bits(value):
@@ -139,6 +159,28 @@ class TestRotorSolveReal:
         inst = DlogInstance(p, x, y)
         report = rotor_solve_real(inst, FLOAT64_DEGREES, tol)
         assert (report.k, report.reason, report.counters) == _literal_float64_solve(inst, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.data())
+    def test_int_solve_matches_literal_procedure(self, p, data):
+        # a whole walk, so the subtraction count the kernel derives once per
+        # walk is checked against the literal loops' step-by-step tally
+        x = data.draw(st.integers(1, p - 1), label="x")
+        y = data.draw(st.integers(1, p - 1), label="y")
+        modes = ["exact", "fixed:8", "fixed:16", "fixed:32"]
+        mode = parse_mode(data.draw(st.sampled_from(modes), label="mode"))
+        tol = data.draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 2.0)), label="tol")
+        inst = DlogInstance(p, x, y)
+        report = rotor_solve_int(inst) if mode.is_exact else rotor_solve_real(inst, mode, tol)
+        assert (report.k, report.reason, report.counters) == _literal_int_solve(inst, mode, tol)
+
+    def test_fixed_point_theta_rounding_to_zero(self):
+        # 360 * 2**8 / 184327 < 1/2, so theta is 0 raw units and the walk
+        # starts at 0 with target 0.  0 is not above the wrap, so the first
+        # step must leave it at 0 (a hit), not settle it at the bound.
+        report = rotor_solve_real(DlogInstance(184327, 5, 7), fixed_point(8))
+        assert (report.k, report.reason) == (2, SolveReason.FOUND)
+        assert report.counters == OpCounters(5, 0, 3, 1)
 
     def test_fixed_point_precision_dependent(self):
         wide = rotor_solve_real(APPENDIX, fixed_point(32))
@@ -268,7 +310,9 @@ class TestRotorStep:
                 st.one_of(st.integers(2, 10**4), st.integers(8, 40).map(lambda b: 360 << b)),
                 label="wrap",
             )
-            acc = data.draw(st.integers(0, wrap), label="acc")  # its range in a solve
+            # a fixed-point start can exceed the wrap (fixed:8, p=1523, x=1522
+            # starts at 92842 > 92160), and a hand-built state holds any integer
+            acc = data.draw(st.integers(-wrap, 3 * wrap), label="acc")
         total, subs = _literal_step(acc, x, wrap)
         c = OpCounters()
         state = rotor_step(RotorState(acc=acc, target=0, exponent=1), x, wrap, c)
