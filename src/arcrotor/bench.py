@@ -32,6 +32,7 @@ from .rotor import (
     DlogInstance,
     SolveReason,
     SolveReport,
+    _orbit,
     rotor_solve_int,
     rotor_solve_real,
 )
@@ -510,6 +511,12 @@ def emit_results(payload, format: str, path) -> None:
 
 _EXAMPLE_LIMIT = 10  # mismatch messages kept in an EquivalenceResult
 
+# Up to this modulus the public solvers also run on every (x, y), as the
+# solver-fault tests need.  A solve costs O(p), so solving every instance
+# costs O(p^3): about 0.1 s up to here, but most of a p <= 200 run.  Above
+# it they run on a sample per (p, x).
+_EVERY_INSTANCE_P_MAX = 30
+
 
 @dataclass(frozen=True)
 class EquivalenceResult:
@@ -519,36 +526,78 @@ class EquivalenceResult:
     examples: tuple[str, ...]
 
 
+def _rotor_ks(p: int, x: int) -> dict[int, int]:
+    # The rotor's k of every reachable y in [1, p), read off one orbit by
+    # _solve's rules: the pre-checks answer y = 1 (k = 0) and y = x (k = 1),
+    # and orbit position s (from 1, the value x^2) answers k = s + 1 at a
+    # value's first appearance.
+    ks = {1: 0}
+    ks.setdefault(x, 1)
+    for k, value in enumerate(_orbit(x, x, p, p - 1), 2):
+        ks.setdefault(value, k)
+    ks.pop(p, None)  # the strict-> wrap parks 0 at the bound p, never a target
+    return ks
+
+
+def _least_ks(p: int, x: int) -> dict[int, int]:
+    # naive_solve's scan, shared over y: the least k of every reachable y in
+    # [1, p), with one modular multiply per step and no rotor code.
+    ks: dict[int, int] = {}
+    acc = 1
+    for k in range(p):
+        ks.setdefault(acc, k)
+        acc = acc * x % p
+        if acc == 1:
+            break
+    ks.pop(0, None)  # a non-unit x can reach 0, never a target
+    return ks
+
+
 def verify_equivalence(p_max: int) -> EquivalenceResult:
     """Check all solvers agree on every instance with p <= p_max.
 
-    For every p and every valid (x, y): the rotor (``rotor_solve_int``, the
-    one exact route) and the brute-force scan must agree on existence and
-    least k, and so must baby-step giant-step where gcd(x, p) = 1.  Returns
-    the instance count, the mismatch count and the first ten mismatches.
+    Per (p, x), the rotor's k for every y is read off one integer-field
+    orbit (``rotor._orbit``, the solve's own kernel stepped once per value)
+    and the least k for every y off one brute-force scan of modular powers;
+    the two must agree on every y in [1, p).  The public solvers
+    ``rotor_solve_int`` and ``naive_solve``, and ``bsgs_solve`` where
+    gcd(x, p) = 1, are each compared with the scan per instance: on every
+    (x, y) for p <= 30, and above that on the reachable y with the largest
+    least k plus the smallest unreachable y, if any.  Every failed check is
+    one mismatch.  Returns the instance count (every (p, x, y)), the
+    mismatch count and the first ten mismatches.
     """
     instances = 0
     mismatches = 0
     examples: list[str] = []
 
-    def note(message: str) -> None:
+    def check(label: str, p: int, x: int, y: int, got, want) -> None:
         nonlocal mismatches
-        mismatches += 1
-        if len(examples) < _EXAMPLE_LIMIT:
-            examples.append(message)
+        if got != want:
+            mismatches += 1
+            if len(examples) < _EXAMPLE_LIMIT:
+                examples.append(f"{label} p={p} x={x} y={y}: got {got}, oracle {want}")
 
     for p in range(2, p_max + 1):
         for x in range(1, p):
+            instances += p - 1
+            expected = _least_ks(p, x)
+            orbit_ks = _rotor_ks(p, x)
+            if orbit_ks != expected:
+                for y in range(1, p):
+                    check("rotor-orbit", p, x, y, orbit_ks.get(y), expected.get(y))
+
+            if p <= _EVERY_INSTANCE_P_MAX:
+                ys = range(1, p)
+            else:
+                ys = [max(expected, key=expected.get)]
+                ys += islice((y for y in range(1, p) if y not in expected), 1)
             x_is_unit = gcd(x, p) == 1
-            for y in range(1, p):
+            for y in ys:
                 inst = DlogInstance(p, x, y)
-                expected = naive_solve(inst)
-                instances += 1
-                ri = rotor_solve_int(inst)
-                if ri.k != expected:
-                    note(f"rotor-int p={p} x={x} y={y}: got {ri.k}, oracle {expected}")
+                want = expected.get(y)
+                check("rotor-int", p, x, y, rotor_solve_int(inst).k, want)
+                check("naive", p, x, y, naive_solve(inst), want)
                 if x_is_unit:
-                    bk = bsgs_solve(inst)
-                    if bk != expected:
-                        note(f"bsgs p={p} x={x} y={y}: got {bk}, oracle {expected}")
+                    check("bsgs", p, x, y, bsgs_solve(inst), want)
     return EquivalenceResult(p_max, instances, mismatches, tuple(examples))

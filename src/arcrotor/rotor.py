@@ -23,9 +23,9 @@ per arithmetic family:
   every subtraction is exact.  In a solve the first step (from x * theta)
   and a few percent of the later ones take the literal addition loop.
 
-``rotor_solve_int``, ``rotor_solve_real`` and the single-step driver
-``rotor_step`` are thin views over these two kernels; exact arc mode is a
-view of the integer-field solve.
+``rotor_solve_int``, ``rotor_solve_real``, the single-step driver
+``rotor_step`` and the orbit generator ``_orbit`` are thin views over these
+two kernels; exact arc mode is a view of the integer-field solve.
 
 Faithfulness notes that shape the observable behaviour:
 
@@ -269,6 +269,22 @@ def rotor_step(
     counters.additions += x
     counters.subtractions += subs
     return RotorState(acc, state.target, state.exponent + 1)
+
+
+def _orbit(x: int, start: int, wrap: int, max_steps: int):
+    """Yield an integer walk's successive values from ``start``, one kernel step each.
+
+    Stops right after the first return to ``start`` or after ``max_steps``
+    values, as a solve from ``start`` stops when no target is hit.  For
+    fixed (p, x) the integer-field walk does not depend on y, so one orbit
+    answers every target.
+    """
+    acc = start
+    for _ in range(max_steps):
+        acc = _walk_int(x, acc, 0, wrap, 0, 1)[0]
+        yield acc
+        if acc == start:
+            return
 
 
 def initial_state(inst: DlogInstance) -> RotorState:

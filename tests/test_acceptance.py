@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 detail lines alongside pytest's own pass/fail report.  The exhaustive
-equivalence criterion dominates the runtime (a minute or two); everything
-else completes in seconds.
+equivalence criterion dominates the runtime (about half a minute, most of it
+the check up to the CLI's p <= 500 guard); everything else completes in
+seconds.
 """
 
 import csv
@@ -32,6 +33,7 @@ from arcrotor import (
     run_sweep,
     verify_equivalence,
 )
+from arcrotor.cli import _VERIFY_P_MAX_LIMIT as VERIFY_P_MAX_LIMIT
 from arcrotor.cli import main as cli_main
 
 SEED = 20260809
@@ -83,14 +85,21 @@ def test_criterion_1_appendix_fixture(capsys):
 
 
 def test_criterion_2_exhaustive_equivalence(equivalence_result):
-    """Solvers agree on existence and least k for every (p, x, y), p <= 200."""
+    """Solvers agree on existence and least k for every (p, x, y), p <= 200 and p <= 500."""
     result, elapsed = equivalence_result
     assert result.mismatches == 0, result.examples
     assert result.instances == sum((p - 1) ** 2 for p in range(2, EQUIVALENCE_P_MAX + 1))
     assert elapsed < 300.0  # stated runtime target: < 5 min
+    # the same check up to the CLI's guard on --p-max, 41,541,750 instances
+    t0 = time.perf_counter()
+    widest = verify_equivalence(VERIFY_P_MAX_LIMIT)
+    widest_s = time.perf_counter() - t0
+    assert widest.mismatches == 0, widest.examples
+    assert widest.instances == sum((p - 1) ** 2 for p in range(2, VERIFY_P_MAX_LIMIT + 1))
     print(
         f"\nACCEPTANCE criterion 2 PASS: {result.instances} instances, "
-        f"0 mismatches, {elapsed:.1f} s"
+        f"0 mismatches, {elapsed:.1f} s; to p <= {VERIFY_P_MAX_LIMIT}: "
+        f"{widest.instances} instances, 0 mismatches, {widest_s:.1f} s"
     )
 
 

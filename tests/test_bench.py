@@ -511,6 +511,62 @@ class TestVerifyEquivalence:
         assert result.mismatches == 1
         assert result.examples == (f"{label} p=7 x=3 y=6: got 4, oracle 3",)
 
+    def test_corrupt_orbit_value_is_one_mismatch(self, monkeypatch):
+        # 2 generates the units mod 37, so its orbit from 2 runs 4, 8, 16, ...
+        # with each value once.  Reading the earlier 4 in place of 16 leaves
+        # 16 (least k 4) without an answer, and no other y changes.
+        orbit = bench._orbit
+
+        def corrupted(x, start, wrap, max_steps):
+            for value in orbit(x, start, wrap, max_steps):
+                yield 4 if (wrap, x, value) == (37, 2, 16) else value
+
+        monkeypatch.setattr(bench, "_orbit", corrupted)
+        result = verify_equivalence(37)
+        assert result.instances == sum((p - 1) ** 2 for p in range(2, 38))
+        assert result.mismatches == 1
+        assert result.examples == ("rotor-orbit p=37 x=2 y=16: got None, oracle 4",)
+
+    @pytest.mark.parametrize(
+        "name,label",
+        [("rotor_solve_int", "rotor-int"), ("naive_solve", "naive"), ("bsgs_solve", "bsgs")],
+    )
+    def test_one_wrong_sampled_answer_is_one_mismatch(self, monkeypatch, name, label):
+        # Above p = 30 the solvers run on a sample per (p, x).  It holds the
+        # reachable y with the largest least k: for the generator 2 mod 37,
+        # 2^35 = 19.  The patched solver answers 36 there.
+        solver = getattr(bench, name)
+
+        def wrong_on_37_2_19(inst):
+            out = solver(inst)
+            if (inst.p, inst.x, inst.y) != (37, 2, 19):
+                return out
+            if isinstance(out, SolveReport):
+                return SolveReport(out.k + 1, out.reason, out.counters)
+            return out + 1
+
+        monkeypatch.setattr(bench, name, wrong_on_37_2_19)
+        result = verify_equivalence(37)
+        assert result.instances == sum((p - 1) ** 2 for p in range(2, 38))
+        assert result.mismatches == 1
+        assert result.examples == (f"{label} p=37 x=2 y=19: got 36, oracle 35",)
+
+    def test_sample_holds_the_longest_and_an_unreachable_target(self, monkeypatch):
+        # p = 35, x = 4: the powers 1, 4, 16, 29, 11, 9 leave y = 2 unreachable
+        # and give 9 the largest least k, 5.
+        asked = []
+
+        def recording(inst):
+            asked.append((inst.p, inst.x, inst.y))
+            return naive_solve(inst)
+
+        monkeypatch.setattr(bench, "naive_solve", recording)
+        assert verify_equivalence(37).mismatches == 0
+        assert [y for p, x, y in asked if (p, x) == (35, 4)] == [9, 2]
+        # mod 37 only the phi(36) = 12 generators reach every y
+        assert len([t for t in asked if t[0] == 37]) == 2 * 36 - 12
+        assert len([t for t in asked if t[0] == 30]) == 29 * 29
+
     def test_always_wrong_rotor_keeps_ten_examples(self, monkeypatch):
         # k = p is never a least exponent, so every instance mismatches once
         def always_wrong(inst):

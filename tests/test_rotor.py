@@ -28,6 +28,8 @@ from arcrotor import (
     rotor_solve_real,
     rotor_step,
 )
+from arcrotor.bench import _rotor_ks
+from arcrotor.rotor import _orbit
 
 APPENDIX = DlogInstance(373, 13, 158)
 
@@ -359,6 +361,40 @@ class TestRotorStep:
         theta_raw = round(360 * 256 / 373)
         assert state.acc == 13 * theta_raw
         assert state.target == 158 * theta_raw
+
+
+class TestOrbit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_orbit_matches_literal_steps(self, data):
+        # successive literal add-and-subtract steps, ending right after the
+        # first return to start or after max_steps values
+        wrap = data.draw(st.integers(2, 300), label="wrap")
+        x = data.draw(st.integers(1, wrap - 1), label="x")
+        start = data.draw(st.integers(1, 2 * wrap), label="start")
+        max_steps = data.draw(st.integers(0, 2 * wrap), label="max_steps")
+        expected = []
+        acc = start
+        while len(expected) < max_steps:
+            acc, _ = _literal_step(acc, x, wrap)
+            expected.append(acc)
+            if acc == start:
+                break
+        assert list(_orbit(x, start, wrap, max_steps)) == expected
+
+    def test_orbit_stops_after_returning_to_start(self):
+        # powers of 2 mod 7 from 2: 4, 1, 2, then the walk would repeat
+        assert list(_orbit(2, 2, 7, 6)) == [4, 1, 2]
+        assert list(_orbit(2, 2, 7, 2)) == [4, 1]
+
+    def test_orbit_k_matches_solver_small_exhaustive(self):
+        # every (p, x, y) with p <= 40, past the p <= 30 range on which
+        # verify also runs the solvers per instance
+        for p in range(2, 41):
+            for x in range(1, p):
+                ks = _rotor_ks(p, x)
+                for y in range(1, p):
+                    assert ks.get(y) == rotor_solve_int(DlogInstance(p, x, y)).k, (p, x, y)
 
 
 class TestInvariants:
