@@ -541,15 +541,15 @@ def _rotor_ks(p: int, x: int) -> dict[int, int]:
 
 def _least_ks(p: int, x: int) -> dict[int, int]:
     # naive_solve's scan, shared over y: the least k of every reachable y in
-    # [1, p), with one modular multiply per step and no rotor code.
+    # [1, p), with one modular multiply per step and no rotor code.  It stops
+    # where naive_solve does, back at 1 or at 0, which is never a target.
     ks: dict[int, int] = {}
     acc = 1
     for k in range(p):
         ks.setdefault(acc, k)
         acc = acc * x % p
-        if acc == 1:
+        if acc <= 1:
             break
-    ks.pop(0, None)  # a non-unit x can reach 0, never a target
     return ks
 
 

@@ -36,9 +36,10 @@ def naive_solve(inst: DlogInstance) -> int | None:
     """Least k with x^k = y (mod p) by brute-force scan, or None.
 
     Scans k = 0, 1, 2, ... with one modular multiply per step.  Stops early
-    once the power returns to 1 (the orbit has closed), and in any case
-    after p exponents: every reachable value appears before the first
-    repeat, which occurs within p steps.
+    once the power returns to 1 (the orbit has closed) or reaches 0 (a
+    non-unit x: 0 is absorbing and never a target), and in any case after p
+    exponents: every reachable value appears before the first repeat, which
+    occurs within p steps.
     """
     p, x, y = inst.p, inst.x, inst.y
     acc = 1
@@ -46,7 +47,7 @@ def naive_solve(inst: DlogInstance) -> int | None:
         if acc == y:
             return k
         acc = acc * x % p
-        if acc == 1:
+        if acc <= 1:
             return None
     return None
 

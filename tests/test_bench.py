@@ -511,6 +511,10 @@ class TestVerifyEquivalence:
         assert result.mismatches == 1
         assert result.examples == (f"{label} p=7 x=3 y=6: got 4, oracle 3",)
 
+    def test_power_scan_stops_at_zero(self):
+        # 2 is nilpotent mod 2**40: its powers 1, 2, ..., 2**39 then 0 for good
+        assert bench._least_ks(2**40, 2) == {2**k: k for k in range(40)}
+
     def test_corrupt_orbit_value_is_one_mismatch(self, monkeypatch):
         # 2 generates the units mod 37, so its orbit from 2 runs 4, 8, 16, ...
         # with each value once.  Reading the earlier 4 in place of 16 leaves

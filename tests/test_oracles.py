@@ -60,6 +60,15 @@ class TestNaiveSolve:
     def test_unreachable(self):
         assert naive_solve(DlogInstance(5, 4, 3)) is None
 
+    def test_nilpotent_base_stops_at_zero(self):
+        # 2**40 = 0 (mod 2**40), and 0 is absorbing and never a target: the
+        # scan stops there after 40 steps instead of walking 2**40 exponents
+        p = 2**40
+        assert naive_solve(DlogInstance(p, 2, 3)) is None
+        assert bsgs_solve(DlogInstance(p, 2, 3)) is None  # the non-unit fallback
+        assert naive_solve(DlogInstance(p, 2, 2**39)) == 39
+        assert bsgs_solve(DlogInstance(p, 2, 2**39)) == 39
+
     def test_least_k_exhaustive_small(self):
         for p in range(2, 101):
             for x in range(1, p):

@@ -29,7 +29,7 @@ from arcrotor import (
     rotor_step,
 )
 from arcrotor.bench import _rotor_ks
-from arcrotor.rotor import _orbit
+from arcrotor.rotor import _orbit, _walk_int
 
 APPENDIX = DlogInstance(373, 13, 158)
 
@@ -46,6 +46,20 @@ def _literal_step(acc, x, wrap):
     return total, subs
 
 
+def _literal_walk(x, first, target, wrap, tol, max_steps):
+    """The paper's walk from x^1 = first, step for step: (acc, steps, subtractions, reason)."""
+    acc = first
+    subs = 0
+    for step in range(1, max_steps + 1):
+        acc, m = _literal_step(acc, x, wrap)
+        subs += m
+        if abs(acc - target) <= tol:
+            return acc, step, subs, SolveReason.FOUND
+        if acc == first:
+            return acc, step, subs, SolveReason.CYCLE_DETECTED
+    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
 def _literal_solve(inst, first, target, wrap, tol):
     """The paper's solve from x^1 = first, loop for loop: (k, reason, counters)."""
     p, x, y = inst.p, inst.x, inst.y
@@ -53,16 +67,9 @@ def _literal_solve(inst, first, target, wrap, tol):
         return 0, SolveReason.FOUND, OpCounters(comparisons=1)
     if y == x:
         return 1, SolveReason.FOUND, OpCounters(comparisons=2)
-    acc = first
-    subs = 0
-    for step in range(1, p):
-        acc, m = _literal_step(acc, x, wrap)
-        subs += m
-        if abs(acc - target) <= tol:
-            return step + 1, SolveReason.FOUND, OpCounters(step * x, subs, step + 2, step)
-        if acc == first:
-            return None, SolveReason.CYCLE_DETECTED, OpCounters(step * x, subs, step + 2, step)
-    return None, SolveReason.EXHAUSTED_ITERATIONS, OpCounters((p - 1) * x, subs, p + 1, p - 1)
+    _, steps, subs, reason = _literal_walk(x, first, target, wrap, tol, p - 1)
+    k = steps + 1 if reason is SolveReason.FOUND else None
+    return k, reason, OpCounters(steps * x, subs, steps + 2, steps)
 
 
 def _literal_float64_solve(inst, tolerance):
@@ -395,6 +402,109 @@ class TestOrbit:
                 ks = _rotor_ks(p, x)
                 for y in range(1, p):
                     assert ks.get(y) == rotor_solve_int(DlogInstance(p, x, y)).k, (p, x, y)
+
+
+W30 = 2**30  # one CPython int digit: the narrowest wrap carried as float64
+E53 = 2**53  # the float64 carrier's exact range
+
+
+def _checked_walk(x, acc, target, wrap, tol, max_steps):
+    """``_walk_int``'s return, checked against the literal walk, value, count and types."""
+    got = _walk_int(x, acc, target, wrap, tol, max_steps)
+    assert got == _literal_walk(x, acc, target, wrap, tol, max_steps)
+    assert [type(v) for v in got[:3]] == [int, int, int]
+    return got
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """What the rotor module converts with float(): the carrier leaves no trace in results."""
+    calls = []
+    monkeypatch.setattr("arcrotor.rotor.float", lambda v: calls.append(v) or float(v), raising=False)
+    return calls
+
+
+class TestWideWalk:
+    # (x, acc, target, wrap, tol, max_steps) on both sides of each guard
+    # boundary, and whether the walk runs on float64 carriers there
+    @pytest.mark.parametrize(
+        "x,acc,target,wrap,tol,max_steps,carried",
+        [
+            # wrap: one CPython digit
+            (3, W30 - 5, 0, W30 - 1, 0, 40, False),
+            (3, W30 - 5, 0, W30, 0, 40, True),
+            (3, W30 - 5, 7, W30, 2, 40, True),
+            # x * wrap: 7 * wrap = 2**53 - 4, then exactly 2**53, then a product
+            # past it whose float would round (odd, above 2**53)
+            (7, (E53 - 1) // 7 - 1, 0, (E53 - 1) // 7, 0, 1, True),
+            (8, 2**50 - 1, 0, 2**50, 0, 1, False),
+            (9, 2**50 - 5, 0, 2**50 - 3, 0, 1, False),
+            # max_steps * wrap: 8 * wrap = 2**53 - 8, then exactly 2**53, then
+            # 9 values of wrap - 2**j whose float running sum would round
+            (2, 2**50 - 2, 0, 2**50 - 1, 0, 8, True),
+            (2, 2**50 - 1, 0, 2**50, 0, 8, False),
+            (2, 2**50 + 2**20, 0, 2**50 + 2**20 + 1, 0, 9, False),
+            (3, 2**50 + 2**20, 0, 2**50 + 2**20 + 1, 0, 9, False),
+            # a start below 0 stays on ints; one product past 2**53 would round
+            (3, -5, 0, 2**40, 0, 5, False),
+            (3, -(2**52 + 1), 0, 2**40, 0, 2, False),
+            # a start above the wrap: carried while x * acc < 2**53
+            (5, 3 * 2**40 + 7, 0, 2**40, 0, 30, True),
+            (9, 2**50 + 1, 0, 2**40, 0, 3, False),
+            # target +- tol past 2**53 stays on ints: its float would round
+            # target - tol from 2**30 + 2 down to 2**30, a false hit
+            (1, W30 + 1, 2**54 + 2, 2**40, 2**54 - W30, 1, False),
+            (3, 5, 10**400, 2**40, 0, 3, False),  # float(target) would overflow
+        ],
+    )
+    def test_guard_edges_match_literal_walk(
+        self, float_calls, x, acc, target, wrap, tol, max_steps, carried
+    ):
+        _checked_walk(x, acc, target, wrap, tol, max_steps)
+        assert bool(float_calls) is carried
+
+    def test_negative_x_stays_on_ints(self):
+        # rotor_step does not reject a negative x; the fold then multiplies
+        # by it and never wraps, and the product here has 71 significant bits
+        acc, x = 2**30 + 1, -(2**40 + 1)
+        c = OpCounters()
+        state = rotor_step(RotorState(acc, 0, 1), x, 2**40, c)
+        assert state.acc == acc * x
+        assert type(state.acc) is int and type(c.subtractions) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_wide_walks_match_literal_walk(self, data):
+        wrap = data.draw(
+            st.one_of(st.integers(W30 - 2**10, 2**51), st.integers(8, 40).map(lambda b: 360 << b)),
+            label="wrap",
+        )
+        x = data.draw(st.integers(1, 12), label="x")
+        acc = data.draw(st.integers(-wrap, 3 * wrap), label="acc")
+        target = data.draw(st.integers(0, wrap), label="target")
+        tol = data.draw(st.one_of(st.just(0), st.integers(0, wrap)), label="tol")
+        max_steps = data.draw(st.integers(0, 12), label="max_steps")
+        _checked_walk(x, acc, target, wrap, tol, max_steps)
+
+    @pytest.mark.parametrize(
+        "inst,carried",
+        [
+            (APPENDIX, True),
+            (DlogInstance(4999, 3, 2), True),
+            (DlogInstance(5826, 2, 3), True),
+            (DlogInstance(5827, 2, 3), False),
+        ],
+    )
+    def test_fixed32_solve_carrier_has_int_results(self, float_calls, inst, carried):
+        # (p - 1) * 360 * 2**32 < 2**53 up to p = 5826, so every fixed:32
+        # solve of the precision scan (p <= 1200) runs on float64 carriers
+        mode = fixed_point(32)
+        report = rotor_solve_real(inst, mode)
+        assert bool(float_calls) is carried
+        assert (report.k, report.reason, report.counters) == _literal_int_solve(inst, mode, None)
+        c = report.counters
+        values = [report.k, c.additions, c.subtractions, c.comparisons, c.outer_steps]
+        assert all(type(v) is int for v in values if v is not None), values
 
 
 class TestInvariants:

@@ -1,0 +1,107 @@
+"""Same-behaviour digest of the rotor solvers: one record count and one sha256.
+
+Run from the root of a checkout (``src/`` is put on the path):
+
+    python tools/solve_digest.py
+
+Two trees that print the same line give the same answers on every input
+below.  Each record holds the values and their Python types, so an int that
+turns into a float changes the digest.
+
+* Every (p, x, y) with p <= 60, plus 2,000 seeded random instances with
+  p < 5,000, through ``rotor_solve_int`` and ``rotor_solve_real`` in
+  fixed:8/16/24/32/40 at tolerance None, 0 and 0.7: k, reason and the four
+  counters of each solve, and the full return of the ``_walk_int`` call
+  that the solve makes.
+* 30,000 ``rotor_step`` calls on wide integer states (wrap from 2**29 to
+  past 2**53, start in [-wrap, 3 * wrap]): the new state and the counters,
+  and the full return of a ``_walk_int`` walk of 1 to 9 steps from that
+  state.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from arcrotor import (  # noqa: E402
+    DlogInstance,
+    OpCounters,
+    RotorState,
+    default_tolerance,
+    fixed_point,
+    rotor_solve_int,
+    rotor_solve_real,
+    rotor_step,
+)
+from arcrotor.rotor import _arc_setup, _walk_int  # noqa: E402
+
+MODES = [fixed_point(b) for b in (8, 16, 24, 32, 40)]
+TOLERANCES = (None, 0.0, 0.7)
+SEED = 20091
+
+
+def _typed(values) -> str:
+    return repr([(type(v).__name__, v) for v in values])
+
+
+def _counters(c: OpCounters) -> tuple:
+    return (c.additions, c.subtractions, c.comparisons, c.outer_steps)
+
+
+def _instances():
+    for p in range(2, 61):
+        for x in range(1, p):
+            for y in range(1, p):
+                yield DlogInstance(p, x, y)
+    rng = random.Random(SEED)
+    for _ in range(2000):
+        p = rng.randrange(2, 5000)
+        yield DlogInstance(p, rng.randrange(1, p), rng.randrange(1, p))
+
+
+def _solve_records():
+    for inst in _instances():
+        r = rotor_solve_int(inst)
+        walk = _walk_int(inst.x, inst.x, inst.y, inst.p, 0, inst.p - 1)
+        yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
+        for mode in MODES:
+            for tolerance in TOLERANCES:
+                r = rotor_solve_real(inst, mode, tolerance)
+                tol = default_tolerance(mode, inst.p) if tolerance is None else tolerance
+                _, start, target, wrap, tol_raw = _arc_setup(inst, mode, tol)
+                walk = _walk_int(inst.x, start, target, wrap, tol_raw, inst.p - 1)
+                yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
+
+
+def _step_records():
+    rng = random.Random(SEED + 1)
+    for _ in range(30000):
+        wrap = rng.randrange(2**29, 2 ** rng.choice((31, 41, 49, 53, 54)))
+        acc = rng.randrange(-wrap, 3 * wrap + 1)
+        x = rng.choice((rng.randrange(1, 3000), rng.randrange(1, 2**24)))
+        target = rng.randrange(0, wrap + 1)
+        counters = OpCounters()
+        state = rotor_step(RotorState(acc, target, 1), x, wrap, counters)
+        tol = rng.choice((0, rng.randrange(0, wrap)))
+        walk = _walk_int(x, acc, target, wrap, tol, rng.randrange(1, 10))
+        yield _typed([state.acc, state.target, state.exponent, *_counters(counters), *walk])
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for records in (_solve_records(), _step_records()):
+        for record in records:
+            digest.update(record.encode())
+            digest.update(b"\n")
+            count += 1
+    print(f"records {count} sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
