@@ -20,12 +20,17 @@ per arithmetic family:
 * ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
   per-operation rounding is precisely what a precision scan measures, so
   its result is identical to the literal loops' (value, bit for bit, and
-  counts), and the literal loops run only where a step can round.  The
-  x-fold addition is one multiplication when the accumulator's mantissa
-  times x fits in 53 bits, so every partial sum is exact.  The wrap is one
-  ``fmod`` when the wrap bound is an integer and the sum is below 2**53, so
-  every subtraction is exact.  In a solve the first step (from x * theta)
-  and a few percent of the later ones take the literal addition loop.
+  counts).  A short head runs the literal loops only where a step can
+  round: the x-fold addition is one multiplication when the accumulator's
+  mantissa times x fits in 53 bits, and the wrap is one ``fmod`` when the
+  wrap bound is an integer and the sum is below 2**53.  Once the
+  accumulator is n / D on the grid of the wrap W / D (D a power of two)
+  with x * max(n, W) < 2**53, every later add and subtract is exact, and
+  the rest of the walk is ``_walk_int`` from n with wrap W: the hits become
+  an integer interval, a cycle that misses the walk's start is folded, and
+  the count is the integer fold's.  In a solve the head is usually one or
+  two steps: the first step from x * theta rounds, and after it the
+  accumulator has a short mantissa.
 
 ``rotor_solve_int``, ``rotor_solve_real``, the single-step driver
 ``rotor_step`` and the orbit generator ``_orbit`` are thin views over these
@@ -52,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import fmod
+from math import fmod, inf
 
 from .counters import OpCounters
 from .numerics import EXACT, NumericMode, check_tolerance, default_tolerance
@@ -207,22 +212,69 @@ def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int
 
 
 def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_steps: int):
-    # Identical to the literal loops (value, bit for bit, and counts), which
-    # run only where a step can round.
-    # Addition: with acc = n / 2**e, every partial sum j*acc (j <= x) is a
-    # float64 when 0 < n*x < 2**53, so all x adds are exact and equal acc * x.
-    # (n > 0 keeps -0.0, whose literal sum is +0.0, on the literal loop.)
-    # Wrap: with an integral wrap and acc < 2**53, wrap is a multiple of acc's
-    # ulp (at most 1), so every `acc -= wrap` is exact.  The loop then ends at
-    # rem = fmod(acc, wrap) after m = (acc - rem) / wrap subtractions, both
-    # exact, except that an exact multiple settles at the bound after m - 1
-    # (the strict > quirk).  `wrap == int(wrap)` also takes an int wrap on
-    # Python < 3.12, which has no int.is_integer.
+    # Identical to the literal loops (value, bit for bit, and counts).  A
+    # head runs them only where a step can round, and hands the rest of the
+    # walk to _walk_int once every later step is exact.
+    # Head addition: with acc = n / 2**e, every partial sum j*acc (j <= x) is
+    # a float64 when 0 < n*x < 2**53, so all x adds are exact and equal
+    # acc * x.  (n > 0 keeps -0.0, whose literal sum is +0.0, on the literal
+    # loop.)
+    # Head wrap: with an integral wrap and acc < 2**53, wrap is a multiple of
+    # acc's ulp (at most 1), so every `acc -= wrap` is exact.  The loop then
+    # ends at rem = fmod(acc, wrap) after m = (acc - rem) / wrap subtractions,
+    # both exact, except that an exact multiple settles at the bound after
+    # m - 1 (the strict > quirk).  `wrap == int(wrap)` also takes an int wrap
+    # on Python < 3.12, which has no int.is_integer.  The literal loop stops
+    # with ValueError where `acc - wrap` rounds back to acc, which would
+    # otherwise repeat forever (1e20 - 360.0 == 1e20).
+    # Handoff: let D be the larger of the power-of-two denominators of acc
+    # and wrap, so acc = n / D and wrap = W / D with integers n and W.  When
+    # 0 < n and x * max(n, W) < 2**53, every later step is exact: each
+    # partial sum j * n / D (j <= x) and each difference of the wrap loop is
+    # an integer below 2**53 over D, so a float64 (D <= 2**1074), and the
+    # step is the integer fold n -> n*x, then n*x % W or W when n*x > W,
+    # with the same subtraction count.  Its value lies in [1, W], so the
+    # guard holds again at the next step, and _walk_int(x, n, ., W, ., left)
+    # walks the rest; n_end / D is the float walk's value.  The guard implies
+    # the head's multiplication test, so it is tested inside it, with
+    # max(x, 2) for x so that 2 * W < 2**53 too.  It also needs x >= 1, a
+    # finite tol >= 0 and wrap > 0, and abs(target) <= wrap, which keeps the
+    # loops of _hit_interval to a step or two.
+    # Exact because of three things:
+    # * Hits.  abs(n / D - target) <= tol holds on the integer interval
+    #   [lo, hi] of _hit_interval, computed once.  It goes to _walk_int as
+    #   an equality target when lo == hi, as target (lo + hi) / 2 and tol
+    #   (hi - lo) / 2 when lo < hi (lo + hi <= 2 * W < 2**53, so both halves
+    #   and target -+ tol are exact), and as target -1, which no value in
+    #   [1, W] equals, when the interval is empty.
+    # * Cycles.  The float walk tests against its original start.  A handoff
+    #   at step 0 starts _walk_int at that start, whose own test is the same.
+    #   After a handoff at a later step, the start is never revisited: a
+    #   start in (0, wrap] on the grid 1/D would have passed the guard at
+    #   step 0 (its own D and W are no larger), and every value after the
+    #   handoff lies in (0, wrap].  So CycleDetected from _walk_int means the
+    #   orbit from n has period s with no hit in it: the walk runs out its
+    #   steps, divmod(left, s) full periods and one more _walk_int call for
+    #   the remainder, and ends ExhaustedIterations.
+    # * Counts.  Each exact step subtracts the integer fold's m[j] times, so
+    #   the count from _walk_int's running sum is the float walk's.
     fold_wrap = 0 < wrap < _EXACT_INT and wrap == int(wrap)
+    grid = x >= 1 and 0 <= tol < inf and 0 < wrap < inf and abs(target) <= wrap
+    if grid:
+        wn, wd = wrap.as_integer_ratio()
     first = acc
     subs = 0
     for steps in range(1, max_steps + 1):
-        if 0 < acc.as_integer_ratio()[0] * x < _EXACT_INT:
+        n, d = acc.as_integer_ratio()
+        if 0 < n * x < _EXACT_INT:
+            if grid:
+                D = max(d, wd)
+                scaled, W = n * (D // d), wn * (D // wd)
+                if max(x, 2) * max(scaled, W) < _EXACT_INT:
+                    acc, done, more, reason = _exact_tail(
+                        x, scaled, D, W, target, tol, max_steps - steps + 1, steps == 1
+                    )
+                    return acc, steps - 1 + done, subs + more, reason
             acc *= x
         else:
             total = 0.0
@@ -240,13 +292,58 @@ def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_
                 subs += m
             else:
                 while acc > wrap:
-                    acc -= wrap
+                    smaller = acc - wrap
+                    if smaller == acc:
+                        raise ValueError(f"wrap {wrap} is below half an ulp of the value {acc}")
+                    acc = smaller
                     subs += 1
         if abs(acc - target) <= tol:
             return acc, steps, subs, SolveReason.FOUND
         if acc == first:
             return acc, steps, subs, SolveReason.CYCLE_DETECTED
     return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
+def _exact_tail(x: int, n: int, D: int, W: int, target, tol, left: int, from_start: bool):
+    """The rest of a float walk from n / D on the grid 1/D: the integer walk, as a float walk."""
+    lo, hi = _hit_interval(target, tol, D, W)
+    if lo < hi:
+        target, tol = (lo + hi) / 2, (hi - lo) / 2
+    else:
+        target, tol = (lo if lo == hi else -1), 0
+    acc, steps, subs, reason = _walk_int(x, n, target, W, tol, left)
+    if not from_start and reason is SolveReason.CYCLE_DETECTED:
+        periods, rest = divmod(left, steps)
+        acc, _, more, reason = _walk_int(x, n, target, W, tol, rest)
+        steps, subs = left, periods * subs + more
+    return acc / D, steps, subs, reason
+
+
+def _hit_interval(target, tol, D: int, W: int):
+    """Ends (lo, hi) of the grid points n in [1, W] that the float walk counts as hits.
+
+    The float test abs(n / D - target) <= tol, for a finite target and
+    0 <= tol < inf, holds exactly when the rounded difference
+    fl(n / D - target) lies in [-tol, tol].  That difference is
+    non-decreasing in n, so the test's lower side holds for every n from
+    some lo on, its upper side for every n up to some hi, and the hits are
+    [lo, hi], empty when lo > hi.  The exact bounds target -+ tol, scaled to
+    the grid in integers, are first guesses that never overshoot: rounding
+    is monotone and -tol and tol are floats, so a point within them passes
+    both sides.  Rounding can add points just beyond them, and each loop
+    extends its end over those by that side of the float test itself.
+    """
+    tn, td = target.as_integer_ratio()
+    sn, sd = tol.as_integer_ratio()
+    c = max(td, sd)
+    t, s = tn * (c // td), sn * (c // sd)
+    lo = max(-(-(t - s) * D // c), 1)
+    hi = min((t + s) * D // c, W)
+    while lo > 1 and (lo - 1) / D - target >= -tol:
+        lo -= 1
+    while hi < W and (hi + 1) / D - target <= tol:
+        hi += 1
+    return lo, hi
 
 
 def _solve(inst: DlogInstance, walk, start, target, wrap, tol) -> SolveReport:
@@ -287,12 +384,16 @@ def rotor_step(
 ) -> RotorState:
     """Advance one outer iteration: x-fold add, wrap, increment the exponent.
 
-    ``wrap`` must be positive, in the state's native units: p for
-    integer-field and exact-arc states, 360 << bits for fixed-point states,
-    360.0 for float64 states.  Runs the solvers' own kernel for one step;
-    exactly x additions and that step's subtractions are charged to
-    ``counters``.
+    ``x`` must be at least 1 and ``wrap`` positive, in the state's native
+    units: p for integer-field and exact-arc states, 360 << bits for
+    fixed-point states, 360.0 for float64 states.  Runs the solvers' own
+    kernel for one step; exactly x additions and that step's subtractions
+    are charged to ``counters``.  A float step whose ``acc - wrap`` rounds
+    back to acc raises ValueError, as the literal subtraction loop would
+    never end.
     """
+    if not x >= 1:  # the x-fold addition adds x >= 1 copies
+        raise ValueError(f"x must be >= 1, got {x}")
     if not wrap > 0:  # also rejects nan
         raise ValueError(f"wrap must be positive, got {wrap}")
     walk = _walk_float if isinstance(state.acc, float) else _walk_int

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcrotor import (
@@ -29,7 +29,7 @@ from arcrotor import (
     rotor_step,
 )
 from arcrotor.bench import _rotor_ks
-from arcrotor.rotor import _orbit, _walk_int
+from arcrotor.rotor import _hit_interval, _orbit, _walk_float, _walk_int
 
 APPENDIX = DlogInstance(373, 13, 158)
 
@@ -357,6 +357,30 @@ class TestRotorStep:
             rotor_step(RotorState(acc=acc, target=0, exponent=1), 1, wrap, c)
         assert c == OpCounters()
 
+    @pytest.mark.parametrize("x", [0, -3])
+    @pytest.mark.parametrize("acc", [10, 10.0])
+    def test_x_below_one_rejected(self, x, acc):
+        # the x-fold addition adds x >= 1 copies; the literal loop adds none
+        # for x < 1, where the kernels would multiply by x
+        c = OpCounters()
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            rotor_step(RotorState(acc=acc, target=0, exponent=1), x, 360, c)
+        assert c == OpCounters()
+
+    @pytest.mark.parametrize(
+        "acc,x,wrap",
+        [
+            (1e20, 3, 360.0),  # 3e20 - 360.0 rounds back to 3e20
+            # one subtraction rounds to even, 2**53 + 4, which the next
+            # subtraction of 1 rounds back to
+            (2.0**53 + 6, 1, 1),
+        ],
+    )
+    def test_wrap_below_half_an_ulp_rejected(self, acc, x, wrap):
+        # the literal subtraction loop would repeat forever
+        with pytest.raises(ValueError, match="wrap"):
+            rotor_step(RotorState(acc=acc, target=0.0, exponent=1), x, wrap, OpCounters())
+
     def test_projected_exact_state(self):
         state = initial_projected_state(APPENDIX, EXACT)
         assert state == RotorState(acc=13, target=158, exponent=1)
@@ -464,13 +488,13 @@ class TestWideWalk:
         assert bool(float_calls) is carried
 
     def test_negative_x_stays_on_ints(self):
-        # rotor_step does not reject a negative x; the fold then multiplies
-        # by it and never wraps, and the product here has 71 significant bits
+        # rotor_step rejects x < 1, but the kernel's guard does not rely on
+        # it: the fold multiplies by a negative x and never wraps, and the
+        # product here has 71 significant bits
         acc, x = 2**30 + 1, -(2**40 + 1)
-        c = OpCounters()
-        state = rotor_step(RotorState(acc, 0, 1), x, 2**40, c)
-        assert state.acc == acc * x
-        assert type(state.acc) is int and type(c.subtractions) is int
+        got, _, subs, _ = _walk_int(x, acc, 0, 2**40, 0, 1)
+        assert got == acc * x
+        assert type(got) is int and type(subs) is int
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -505,6 +529,195 @@ class TestWideWalk:
         c = report.counters
         values = [report.k, c.additions, c.subtractions, c.comparisons, c.outer_steps]
         assert all(type(v) is int for v in values if v is not None), values
+
+
+def _float_fold(acc, x):
+    """x-fold repeated addition of a float: acc * x where every partial sum is exact, else the loop.
+
+    j * acc is exact for every j <= x when it is for the largest odd j <= x,
+    which is x or x - 1; acc * x alone being exact is not enough (x = 8 and
+    a full mantissa: 3 * acc rounds).
+    """
+    exact = Fraction(acc)
+    if all(Fraction(float(exact * j)) == exact * j for j in (x - 1, x)):
+        return acc * x
+    total = 0.0
+    for _ in range(x):
+        total += acc
+    return total
+
+
+def _reference_float_walk(x, first, target, wrap, tol, max_steps):
+    """The literal float walk, exact folds taken as products: (acc, steps, subtractions, reason)."""
+    acc = first
+    subs = 0
+    for step in range(1, max_steps + 1):
+        acc = _float_fold(acc, x)
+        while acc > wrap:
+            acc -= wrap
+            subs += 1
+        if abs(acc - target) <= tol:
+            return acc, step, subs, SolveReason.FOUND
+        if acc == first:
+            return acc, step, subs, SolveReason.CYCLE_DETECTED
+    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
+def _checked_float_walk(x, acc, target, wrap, tol, max_steps):
+    """``_walk_float``'s return, checked against the reference walk, value bit for bit."""
+    got = _walk_float(x, acc, target, wrap, tol, max_steps)
+    want = _reference_float_walk(x, acc, target, wrap, tol, max_steps)
+    assert (_bits(got[0]), *got[1:]) == (_bits(want[0]), *want[1:])
+    return got
+
+
+def _is_hit(n, target, tol, D):
+    return abs(n / D - target) <= tol
+
+
+def _check_hit_ends(target, tol, D, W, lo, hi):
+    """Brute force of the float hit test around both returned ends."""
+    if lo <= hi:
+        assert 1 <= lo and hi <= W
+        assert _is_hit(lo, target, tol, D) and _is_hit(hi, target, tol, D)
+        assert lo == 1 or not _is_hit(lo - 1, target, tol, D)
+        assert hi == W or not _is_hit(hi + 1, target, tol, D)
+    else:
+        # the hits form an interval around target, so an empty one has
+        # no hit next to target * D either
+        near = round(Fraction(target) * D)
+        window = range(max(near - 3, 1), min(near + 3, W) + 1)
+        assert not any(_is_hit(n, target, tol, D) for n in window)
+        for n in (1, W):
+            assert not _is_hit(n, target, tol, D)
+
+
+class TestFloatHandoff:
+    # The float64 walk runs the literal loops until every later step is
+    # exact, then hands the rest to the integer kernel on the grid 1/D.
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_walk_matches_literal_reference(self, data):
+        wrap = data.draw(st.sampled_from([360.0, 360, 1.0, 0.1]), label="wrap")
+        # p = 45 and 90 make theta = 360 / p dyadic (8.0, 4.0): a handoff at step 0
+        p = data.draw(st.one_of(st.sampled_from([45, 90]), st.integers(3, 300)), label="p")
+        theta = wrap / p
+        x = data.draw(st.integers(1, p - 1), label="x")
+        start = data.draw(
+            st.one_of(
+                st.just(x * theta),  # as a solve starts
+                st.floats(0.0, float(wrap), exclude_min=True),
+                st.floats(float(wrap), 3.0 * wrap, exclude_min=True),  # above the wrap
+                st.integers(1, 3 * 2**20).map(lambda n: n * wrap / 2**20),
+            ),
+            label="start",
+        )
+        target = data.draw(
+            st.one_of(st.integers(1, p - 1).map(lambda y: y * theta), st.floats(-wrap, 2.0 * wrap)),
+            label="target",
+        )
+        tol = data.draw(
+            st.one_of(st.just(0), st.just(wrap / 2 / p), st.floats(0.0, 2.0 * wrap / p)),
+            label="tol",
+        )
+        max_steps = data.draw(st.integers(0, p - 1), label="max_steps")
+        _checked_float_walk(x, start, target, wrap, tol, max_steps)
+
+    def test_solve_hands_off_after_the_rounding_head(self, monkeypatch):
+        # 373/13/158: the first two steps take the literal addition loop
+        # (13 * n >= 2**53); the rest of the walk, 370 steps at most, runs on
+        # the integer kernel on the grid 1/2**39
+        calls = []
+        real = _walk_int
+        monkeypatch.setattr("arcrotor.rotor._walk_int", lambda *a: calls.append(a) or real(*a))
+        report = rotor_solve_real(APPENDIX, FLOAT64_DEGREES)
+        assert (report.k, report.reason, report.counters) == _literal_float64_solve(APPENDIX, None)
+        assert [(c[0], c[3], c[5]) for c in calls] == [(13, 360 * 2**39, 370)]
+
+    def test_fold_of_a_cycle_that_misses_the_start(self):
+        # One literal step (2**20 + 1 adds) leaves the walk on the grid
+        # 1/2**32, from where the integer walk returns to its own start after
+        # 4,096 steps.  The float walk never sees its start 0.9999995 again,
+        # so it runs out all 10,000 steps: the literal loops' result.
+        x = 2**20 + 1
+        got = _walk_float(x, 0.9999995, 0.3, 1.0, 0.0, 10000)
+        assert got == (0.807983256643638, 10000, 5242510513, SolveReason.EXHAUSTED_ITERATIONS)
+        n = int(_walk_float(x, 0.9999995, 0.3, 1.0, 0.0, 1)[0] * 2**32)
+        _, period, _, reason = _walk_int(x, n, -1, 2**32, 0, 10000)
+        assert (period, reason) == (4096, SolveReason.CYCLE_DETECTED)
+
+    @pytest.mark.parametrize(
+        "x,acc,target,wrap,tol,max_steps",
+        [
+            # above the wrap: on the grid 1/2**40, 21 * n >= 2**53 though
+            # 21 * W < 2**53, and the first step's adds round
+            (21, 718.6110127016118, 123.05177567683342, 360.0, 0, 1),
+            # above a wrap whose grid is finer than the start's: on the grid
+            # 1/2**55 of 0.1, 0.25 is n = 2**53, 2 * n >= 2**53 though
+            # 2 * W < 2**53, and the subtractions of 0.1 round
+            (2, 0.25, 0.05, 0.1, 0, 5),
+            # x = 1 and W >= 2**52: the hits are W - 1 and W, and (W - 1 + W) / 2
+            # would round to W, dropping the hit at the start
+            (1, 360.0 - 2**-44, 360.0, 360.0, 2**-44, 1),
+            # a start on the grid from step 0 (theta = 8.0), cycle at step 6
+            (2, 8.0, 7.0, 360.0, 0.0, 44),
+        ],
+    )
+    def test_guard_edges_match_literal_reference(self, x, acc, target, wrap, tol, max_steps):
+        _checked_float_walk(x, acc, target, wrap, tol, max_steps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hit_interval_matches_full_scan(self, data):
+        # small grids, every point tested; any finite target, any tol >= 0
+        wrap = data.draw(st.sampled_from([360.0, 1.0]), label="wrap")
+        D = 2 ** data.draw(st.integers(0, 3 if wrap == 360.0 else 11), label="log2 D")
+        W = int(wrap * D)
+        target = data.draw(st.floats(-2.0 * wrap, 4.0 * wrap), label="target")
+        tol = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * wrap)), label="tol")
+        hits = [n for n in range(1, W + 1) if _is_hit(n, target, tol, D)]
+        lo, hi = _hit_interval(target, tol, D, W)
+        assert [n for n in range(1, W + 1) if lo <= n <= hi] == hits
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hit_interval_ends_on_walk_grids(self, data):
+        # grids as fine as a handoff allows (2 * W < 2**53), both ends checked
+        wrap = data.draw(st.sampled_from([360.0, 1.0, 0.1]), label="wrap")
+        wn, wd = wrap.as_integer_ratio()
+        D = max(wd, 2 ** data.draw(st.integers(0, 52), label="log2 D"))
+        W = wn * (D // wd)
+        assume(2 * W < 2**53)
+        p = data.draw(st.integers(3, 5000), label="p")
+        target = data.draw(
+            st.one_of(st.integers(1, p - 1).map(lambda y: y * (wrap / p)), st.floats(-wrap, wrap)),
+            label="target",
+        )
+        tol = data.draw(
+            st.one_of(st.just(0.0), st.just(wrap / 2 / p), st.floats(0.0, 2.0 * wrap)), label="tol"
+        )
+        lo, hi = _hit_interval(target, tol, D, W)
+        _check_hit_ends(target, tol, D, W, lo, hi)
+
+    @pytest.mark.parametrize(
+        "target,tol",
+        [
+            # n / D - target rounds up onto -tol just below the bound target - tol
+            # (a target above the wrap, which the walk never passes on)
+            (1310.770256126172, 1256.0092454291148),
+            # n / D - target rounds down onto tol just above the bound target + tol
+            (64.80564473678768, 267.6755841615284),
+        ],
+    )
+    def test_hit_interval_extends_past_the_exact_bounds(self, target, tol):
+        D = 2**43
+        W = 360 * D
+        lo, hi = _hit_interval(target, tol, D, W)
+        _check_hit_ends(target, tol, D, W, lo, hi)
+        bounds = Fraction(target) - Fraction(tol), Fraction(target) + Fraction(tol)
+        past = [n for n in (lo, hi) if not bounds[0] <= Fraction(n, D) <= bounds[1]]
+        assert len(past) == 1  # one end lies past its exact bound
 
 
 class TestInvariants:

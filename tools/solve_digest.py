@@ -17,6 +17,15 @@ turns into a float changes the digest.
   past 2**53, start in [-wrap, 3 * wrap]): the new state and the counters,
   and the full return of a ``_walk_int`` walk of 1 to 9 steps from that
   state.
+* The same instances through ``rotor_solve_real`` in float64 at tolerance
+  None, 0 and 0.7: k, reason and the four counters, and the full return of
+  the ``_walk_float`` call that the solve makes.
+* 30,000 ``rotor_step`` calls on float states (wrap 360.0, 1.0 or 0.1;
+  start in (-10, 1000) degrees scaled to the wrap, or dyadic): the new
+  state and the counters, and the full return of a ``_walk_float`` walk of
+  1 to 40 steps from that state.
+
+Floats are hashed by ``float.hex``, so every bit counts.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arcrotor import (  # noqa: E402
+    FLOAT64_DEGREES,
     DlogInstance,
     OpCounters,
     RotorState,
@@ -38,7 +48,7 @@ from arcrotor import (  # noqa: E402
     rotor_solve_real,
     rotor_step,
 )
-from arcrotor.rotor import _arc_setup, _walk_int  # noqa: E402
+from arcrotor.rotor import _arc_setup, _walk_float, _walk_int  # noqa: E402
 
 MODES = [fixed_point(b) for b in (8, 16, 24, 32, 40)]
 TOLERANCES = (None, 0.0, 0.7)
@@ -46,7 +56,7 @@ SEED = 20091
 
 
 def _typed(values) -> str:
-    return repr([(type(v).__name__, v) for v in values])
+    return repr([(type(v).__name__, v.hex() if isinstance(v, float) else v) for v in values])
 
 
 def _counters(c: OpCounters) -> tuple:
@@ -92,10 +102,41 @@ def _step_records():
         yield _typed([state.acc, state.target, state.exponent, *_counters(counters), *walk])
 
 
+def _float_solve_records():
+    for inst in _instances():
+        for tolerance in TOLERANCES:
+            r = rotor_solve_real(inst, FLOAT64_DEGREES, tolerance)
+            tol = default_tolerance(FLOAT64_DEGREES, inst.p) if tolerance is None else tolerance
+            _, start, target, wrap, tol = _arc_setup(inst, FLOAT64_DEGREES, tol)
+            walk = _walk_float(inst.x, start, target, wrap, tol, inst.p - 1)
+            yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
+
+
+def _float_step_records():
+    rng = random.Random(SEED + 2)
+    for _ in range(30000):
+        wrap = rng.choice((360.0, 1.0, 0.1))
+        if rng.random() < 0.5:
+            acc = rng.uniform(-10.0, 1000.0) * wrap / 360
+        else:
+            acc = rng.randrange(1, 3 * 2**20) * wrap / 2 ** rng.randrange(12, 21)
+        # the literal subtraction loop of a non-integral wrap runs about
+        # x * acc / wrap times, so x stays small there
+        x = rng.randrange(1, 3000 if wrap != 0.1 else 40)
+        p = rng.randrange(3, 400)
+        target = rng.randrange(1, p) * (wrap / p) if rng.random() < 0.5 else rng.uniform(0.0, wrap)
+        counters = OpCounters()
+        state = rotor_step(RotorState(acc, target, 1), x, wrap, counters)
+        tol = rng.choice((0.0, wrap / 2 / p, rng.uniform(0.0, wrap / p)))
+        walk = _walk_float(x, acc, target, wrap, tol, rng.randrange(1, 41))
+        yield _typed([state.acc, state.target, state.exponent, *_counters(counters), *walk])
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = 0
-    for records in (_solve_records(), _step_records()):
+    parts = (_solve_records(), _step_records(), _float_solve_records(), _float_step_records())
+    for records in parts:
         for record in records:
             digest.update(record.encode())
             digest.update(b"\n")
