@@ -14,10 +14,6 @@ from math import gcd, isqrt
 
 from .rotor import DlogInstance
 
-# Orders are computed via factorisation only at desk scale; beyond this the
-# baby-step table falls back to the ceil(sqrt(p)) bound.
-_ORDER_CHEAP_BOUND = 1_000_000
-
 
 class NotAUnitError(ValueError):
     """Raised when an order is requested for x with gcd(x, p) != 1."""
@@ -96,35 +92,27 @@ def multiplicative_order(x: int, p: int) -> int:
     return t
 
 
-@lru_cache(maxsize=4096)
-def _baby_table(p: int, x: int, m: int) -> dict[int, int]:
-    # value -> least baby-step index j in [0, m); first write wins.
-    table: dict[int, int] = {}
-    acc = 1
-    for j in range(m):
-        if acc not in table:
-            table[acc] = j
-        acc = acc * x % p
-    return table
-
-
 def bsgs_solve(inst: DlogInstance) -> int | None:
     """Least k with x^k = y (mod p) by baby-step giant-step, or None.
 
     Requires gcd(x, p) = 1; otherwise falls back to ``naive_solve``.  The
-    search space is the order of x when that is cheap to compute, else p.
-    Baby steps keep the smallest index per residue and giant steps ascend,
-    so the first hit is the least exponent.
+    search covers k < p, past every least k (the orbit of a unit closes
+    within p - 1 steps), in m = ceil(sqrt(p)) baby and giant steps.  Baby
+    steps keep the smallest index per residue and giant steps ascend, so
+    the first hit is the least exponent.
     """
     p, x, y = inst.p, inst.x, inst.y
     if gcd(x, p) != 1:
         return naive_solve(inst)
-    bound = multiplicative_order(x, p) if p <= _ORDER_CHEAP_BOUND else p
-    m = isqrt(bound - 1) + 1 if bound > 1 else 1
-    table = _baby_table(p, x, m)
+    m = isqrt(p - 1) + 1
+    table: dict[int, int] = {}  # value -> least baby-step index j in [0, m)
+    acc = 1
+    for j in range(m):
+        table.setdefault(acc, j)
+        acc = acc * x % p
     inv_xm = pow(pow(x, -1, p), m, p)
     gamma = y % p
-    for i in range((bound + m - 1) // m):
+    for i in range((p + m - 1) // m):
         j = table.get(gamma)
         if j is not None:
             return i * m + j

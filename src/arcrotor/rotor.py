@@ -26,7 +26,7 @@ per arithmetic family:
   wrap bound is an integer and the sum is below 2**53.  Once the
   accumulator is n / D on the grid of the wrap W / D (D a power of two)
   with x * max(n, W) < 2**53, every later add and subtract is exact, and
-  the rest of the walk is ``_walk_int`` from n with wrap W: the hits become
+  the rest of the walk is ``_walk_int`` from n with wrap W: the hits are
   an integer interval, a cycle that misses the walk's start is folded, and
   the count is the integer fold's.  In a solve the head is usually one or
   two steps: the first step from x * theta rounds, and after it the
@@ -57,7 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import fmod, inf
+from math import fmod, inf, isfinite
+from operator import index
 
 from .counters import OpCounters
 from .numerics import EXACT, NumericMode, check_tolerance, default_tolerance
@@ -136,8 +137,10 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 #
 # Both kernels walk at most ``max_steps`` outer steps from ``acc`` (the value
-# of x^1) and return (acc, steps, subtractions, reason).  The loops stay
-# inline: a per-step helper call costs a measurable share of a sweep.
+# of x^1) and return (acc, steps, subtractions, reason).  Arguments 3 and 4
+# are the hit test: [lo, hi] for _walk_int (no hit when lo > hi), target and
+# tolerance for _walk_float.  The loops stay inline: a per-step helper call
+# costs a measurable share of a sweep.
 
 _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 # CPython stores an int in 30-bit digits.  Walks whose values pass one digit
@@ -146,7 +149,7 @@ _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 _WIDE_WRAP = 2**30
 
 
-def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int):
+def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int):
     # `acc *= x` is the exact fold of x-fold repeated addition, and
     # `acc % wrap or wrap` that of the strict-> subtraction loop: an exact
     # multiple settles at the bound.  The `> wrap` guard leaves a value
@@ -156,8 +159,8 @@ def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int
     # subtraction count (0 without a wrap).  Summed over the walk,
     # x * (a[0] + ... + a[n-1]) = wrap * sum(m) + (a[1] + ... + a[n]), so the
     # loop keeps only the running sum `total` of a[1..n], and sum(m) is one
-    # exact division at the end.  Equality is the cheaper test, so tol == 0
-    # (the integer field and every rotor_step) gets its own loop.
+    # exact division at the end.  Equality is the cheaper test, so lo == hi
+    # (the integer field and every single step) gets its own loop.
     # Wide walks run the same loops on float64 carriers.  Every integer of
     # magnitude below 2**53 is a float64, and `*`, `%`, `+` and comparisons
     # on such integers, with an integer result of that size, are exact
@@ -165,36 +168,35 @@ def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int
     # and acc >= 0 keep the values non-negative; a value is at most
     # max(acc, wrap), and at most wrap after a step, so a product is at most
     # x * max(acc, wrap); the running sum of at most max_steps values is at
-    # most max_steps * wrap; target, tol and target +- tol are at most
-    # |target| + |tol| in magnitude.  Python's float `%` is fmod, always
-    # exact, plus a sign fix that non-negative operands never take.  So each
-    # float operation equals its int one, and the values go back to int for
-    # the subtraction count, whose product can pass 2**53.
+    # most max_steps * wrap; lo and hi are bounded themselves.  Python's
+    # float `%` is fmod, always exact, plus a sign fix that non-negative
+    # operands never take.  So each float operation equals its int one, and
+    # the values go back to int for the subtraction count, whose product can
+    # pass 2**53.
     wide = (
         wrap >= _WIDE_WRAP
         and 0 <= acc
         and 0 <= x * max(acc, wrap) < _EXACT_INT
         and max_steps * wrap < _EXACT_INT
-        and abs(target) + abs(tol) < _EXACT_INT
+        and max(abs(lo), abs(hi)) < _EXACT_INT
     )
     if wide:
-        x, acc, target, wrap, tol = float(x), float(acc), float(target), float(wrap), float(tol)
+        x, acc, lo, hi, wrap = float(x), float(acc), float(lo), float(hi), float(wrap)
     first, total = acc, 0
     steps, reason = max_steps, SolveReason.EXHAUSTED_ITERATIONS
-    if tol == 0:
+    if lo == hi:
         for steps in range(1, max_steps + 1):
             acc *= x
             if acc > wrap:
                 acc = acc % wrap or wrap
             total += acc
-            if acc == target:
+            if acc == lo:
                 reason = SolveReason.FOUND
                 break
             if acc == first:
                 reason = SolveReason.CYCLE_DETECTED
                 break
     else:
-        lo, hi = target - tol, target + tol
         for steps in range(1, max_steps + 1):
             acc *= x
             if acc > wrap:
@@ -211,7 +213,7 @@ def _walk_int(x: int, acc: int, target: int, wrap: int, tol: int, max_steps: int
     return acc, steps, (x * (first + total - acc) - total) // wrap, reason
 
 
-def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_steps: int):
+def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_steps: int):
     # Identical to the literal loops (value, bit for bit, and counts).  A
     # head runs them only where a step can round, and hands the rest of the
     # walk to _walk_int once every later step is exact.
@@ -234,19 +236,15 @@ def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_
     # an integer below 2**53 over D, so a float64 (D <= 2**1074), and the
     # step is the integer fold n -> n*x, then n*x % W or W when n*x > W,
     # with the same subtraction count.  Its value lies in [1, W], so the
-    # guard holds again at the next step, and _walk_int(x, n, ., W, ., left)
+    # guard holds again at the next step, and _walk_int(x, n, ., ., W, left)
     # walks the rest; n_end / D is the float walk's value.  The guard implies
-    # the head's multiplication test, so it is tested inside it, with
-    # max(x, 2) for x so that 2 * W < 2**53 too.  It also needs x >= 1, a
-    # finite tol >= 0 and wrap > 0, and abs(target) <= wrap, which keeps the
-    # loops of _hit_interval to a step or two.
+    # the head's multiplication test, so it is tested inside it.  It also
+    # needs x >= 1, a finite tol >= 0 and wrap > 0, and abs(target) <= wrap,
+    # which keeps the loops of _hit_interval to a step or two.
     # Exact because of three things:
     # * Hits.  abs(n / D - target) <= tol holds on the integer interval
-    #   [lo, hi] of _hit_interval, computed once.  It goes to _walk_int as
-    #   an equality target when lo == hi, as target (lo + hi) / 2 and tol
-    #   (hi - lo) / 2 when lo < hi (lo + hi <= 2 * W < 2**53, so both halves
-    #   and target -+ tol are exact), and as target -1, which no value in
-    #   [1, W] equals, when the interval is empty.
+    #   [lo, hi] of _hit_interval, computed once, which _walk_int takes as
+    #   its hit interval.
     # * Cycles.  The float walk tests against its original start.  A handoff
     #   at step 0 starts _walk_int at that start, whose own test is the same.
     #   After a handoff at a later step, the start is never revisited: a
@@ -270,7 +268,7 @@ def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_
             if grid:
                 D = max(d, wd)
                 scaled, W = n * (D // d), wn * (D // wd)
-                if max(x, 2) * max(scaled, W) < _EXACT_INT:
+                if x * max(scaled, W) < _EXACT_INT:
                     acc, done, more, reason = _exact_tail(
                         x, scaled, D, W, target, tol, max_steps - steps + 1, steps == 1
                     )
@@ -307,14 +305,10 @@ def _walk_float(x: int, acc: float, target: float, wrap: float, tol: float, max_
 def _exact_tail(x: int, n: int, D: int, W: int, target, tol, left: int, from_start: bool):
     """The rest of a float walk from n / D on the grid 1/D: the integer walk, as a float walk."""
     lo, hi = _hit_interval(target, tol, D, W)
-    if lo < hi:
-        target, tol = (lo + hi) / 2, (hi - lo) / 2
-    else:
-        target, tol = (lo if lo == hi else -1), 0
-    acc, steps, subs, reason = _walk_int(x, n, target, W, tol, left)
+    acc, steps, subs, reason = _walk_int(x, n, lo, hi, W, left)
     if not from_start and reason is SolveReason.CYCLE_DETECTED:
         periods, rest = divmod(left, steps)
-        acc, _, more, reason = _walk_int(x, n, target, W, tol, rest)
+        acc, _, more, reason = _walk_int(x, n, lo, hi, W, rest)
         steps, subs = left, periods * subs + more
     return acc / D, steps, subs, reason
 
@@ -346,29 +340,30 @@ def _hit_interval(target, tol, D: int, W: int):
     return lo, hi
 
 
-def _solve(inst: DlogInstance, walk, start, target, wrap, tol) -> SolveReport:
-    # The loop's first comparison sees x^2; answer k=0 and k=1 beforehand.
+def _solve(inst: DlogInstance, walk, start, a, b, wrap) -> SolveReport:
+    # (a, b): the hit test.  The first comparison sees x^2; pre-check k=0, 1.
     x, y = inst.x, inst.y
     if y == 1:
         return SolveReport(0, SolveReason.FOUND, OpCounters(comparisons=1))
     if y == x:
         return SolveReport(1, SolveReason.FOUND, OpCounters(comparisons=2))
-    _, steps, subs, reason = walk(x, start, target, wrap, tol, inst.p - 1)
+    _, steps, subs, reason = walk(x, start, a, b, wrap, inst.p - 1)
     k = steps + 1 if reason is SolveReason.FOUND else None
     return SolveReport(k, reason, OpCounters(steps * x, subs, 2 + steps, steps))
 
 
 def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
-    """Kernel, start, target, wrap and tolerance of a float64 or fixed-point arc solve."""
+    """Kernel, start, hit test and wrap of a float64 or fixed-point arc solve."""
     p, x, y = inst.p, inst.x, inst.y
     if mode.kind == "float64":
         theta = 360.0 / p
-        return _walk_float, x * theta, y * theta, 360.0, tolerance
+        return _walk_float, x * theta, y * theta, tolerance, 360.0
     # Fixed point rounds only theta and the tolerance; everything after that
     # is exact integer arithmetic on raw units.
     scale = 1 << mode.fractional_bits
     theta_raw = round(Fraction(360 * scale, p))
-    return _walk_int, x * theta_raw, y * theta_raw, 360 * scale, round(tolerance * scale)
+    target, tol = y * theta_raw, round(tolerance * scale)
+    return _walk_int, x * theta_raw, target - tol, target + tol, 360 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +379,38 @@ def rotor_step(
 ) -> RotorState:
     """Advance one outer iteration: x-fold add, wrap, increment the exponent.
 
-    ``x`` must be at least 1 and ``wrap`` positive, in the state's native
-    units: p for integer-field and exact-arc states, 360 << bits for
-    fixed-point states, 360.0 for float64 states.  Runs the solvers' own
-    kernel for one step; exactly x additions and that step's subtractions
-    are charged to ``counters``.  A float step whose ``acc - wrap`` rounds
-    back to acc raises ValueError, as the literal subtraction loop would
-    never end.
+    ``x`` must be a whole number (what ``operator.index`` takes) of at
+    least 1 and ``wrap`` positive, in the state's native units: p for
+    integer-field and exact-arc states, 360 << bits for fixed-point states,
+    360.0 for float64 states.  An int state needs a whole wrap, a float
+    state a finite acc; else ValueError names the field, and ``counters``
+    is untouched.  Runs the solvers' own kernel for one step; exactly x
+    additions and that step's subtractions are charged to ``counters``.  A
+    float step whose ``acc - wrap`` rounds back to acc raises ValueError,
+    as the literal subtraction loop would never end.
     """
-    if not x >= 1:  # the x-fold addition adds x >= 1 copies
+    x = _whole(x, "x")
+    if x < 1:  # the x-fold addition adds x >= 1 copies
         raise ValueError(f"x must be >= 1, got {x}")
     if not wrap > 0:  # also rejects nan
         raise ValueError(f"wrap must be positive, got {wrap}")
-    walk = _walk_float if isinstance(state.acc, float) else _walk_int
-    acc, _, subs, _ = walk(x, state.acc, state.target, wrap, 0, 1)
+    if isinstance(state.acc, float):
+        if not isfinite(state.acc):
+            raise ValueError(f"acc must be finite, got {state.acc}")
+        walk = _walk_float
+    else:
+        wrap, walk = _whole(wrap, "wrap of an integer state"), _walk_int
+    acc, _, subs, _ = walk(x, state.acc, 0, 0, wrap, 1)  # one step ignores the hit test
     counters.additions += x
     counters.subtractions += subs
     return RotorState(acc, state.target, state.exponent + 1)
+
+
+def _whole(value, name: str) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
 
 
 def _orbit(x: int, start: int, wrap: int, max_steps: int):
@@ -413,7 +423,7 @@ def _orbit(x: int, start: int, wrap: int, max_steps: int):
     """
     acc = start
     for _ in range(max_steps):
-        acc = _walk_int(x, acc, 0, wrap, 0, 1)[0]
+        acc = _walk_int(x, acc, 0, 0, wrap, 1)[0]
         yield acc
         if acc == start:
             return
@@ -452,7 +462,7 @@ def rotor_solve_int(inst: DlogInstance) -> SolveReport:
     """
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
-    return _solve(inst, _walk_int, inst.x, inst.y, inst.p, 0)
+    return _solve(inst, _walk_int, inst.x, inst.y, inst.y, inst.p)
 
 
 def rotor_solve_real(

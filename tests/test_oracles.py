@@ -108,6 +108,14 @@ class TestBsgsSolve:
                     inst = DlogInstance(p, x, y)
                     assert bsgs_solve(inst) == naive_solve(inst), (p, x, y)
 
+    def test_searches_to_p_without_the_order(self, monkeypatch):
+        # 13 has order 62 mod 373, so most targets are unreachable; the
+        # search runs to bound p and needs no order to find that
+        monkeypatch.setattr("arcrotor.oracles.multiplicative_order", None)
+        for y in range(1, 373):
+            inst = DlogInstance(373, 13, y)
+            assert bsgs_solve(inst) == naive_solve(inst), y
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 3000), st.data())
     def test_agreement_random_larger(self, p, data):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -367,6 +368,42 @@ class TestRotorStep:
             rotor_step(RotorState(acc=acc, target=0, exponent=1), x, 360, c)
         assert c == OpCounters()
 
+    @pytest.mark.parametrize("x", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("acc", [5, 5.0])
+    def test_non_whole_x_rejected(self, x, acc):
+        # the x-fold addition adds a whole number of copies
+        c = OpCounters()
+        with pytest.raises(ValueError, match="^x must be a whole number"):
+            rotor_step(RotorState(acc=acc, target=0, exponent=1), x, 360, c)
+        assert c == OpCounters()
+
+    @pytest.mark.parametrize("acc", [5, 5.0])
+    def test_numpy_int_x_is_a_whole_number(self, acc):
+        want, c = OpCounters(), OpCounters()
+        expected = rotor_step(RotorState(acc=acc, target=0, exponent=1), 100, 360, want)
+        state = rotor_step(RotorState(acc=acc, target=0, exponent=1), np.int64(100), 360, c)
+        assert _bits(state.acc) == _bits(expected.acc) and c == want
+        assert type(state.acc) is type(acc) and type(c.additions) is int
+
+    @pytest.mark.parametrize("acc", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_acc_rejected(self, acc):
+        c = OpCounters()
+        with pytest.raises(ValueError, match="^acc must be finite"):
+            rotor_step(RotorState(acc=acc, target=0.0, exponent=1), 3, 360.0, c)
+        assert c == OpCounters()
+
+    @pytest.mark.parametrize("acc", [200, 5])
+    def test_int_state_non_whole_wrap_rejected(self, acc):
+        # a float wrap would turn the int state's acc, or only its
+        # subtraction count, into floats partway through a walk
+        c = OpCounters()
+        with pytest.raises(ValueError, match="^wrap of an integer state must be a whole number"):
+            rotor_step(RotorState(acc=acc, target=0, exponent=1), 3, 360.0, c)
+        assert c == OpCounters()
+        state = rotor_step(RotorState(acc=acc, target=0, exponent=1), 3, np.int64(360), c)
+        assert state.acc == _literal_step(acc, 3, 360)[0]
+        assert type(state.acc) is int and type(c.subtractions) is int
+
     @pytest.mark.parametrize(
         "acc,x,wrap",
         [
@@ -434,7 +471,7 @@ E53 = 2**53  # the float64 carrier's exact range
 
 def _checked_walk(x, acc, target, wrap, tol, max_steps):
     """``_walk_int``'s return, checked against the literal walk, value, count and types."""
-    got = _walk_int(x, acc, target, wrap, tol, max_steps)
+    got = _walk_int(x, acc, target - tol, target + tol, wrap, max_steps)
     assert got == _literal_walk(x, acc, target, wrap, tol, max_steps)
     assert [type(v) for v in got[:3]] == [int, int, int]
     return got
@@ -487,12 +524,27 @@ class TestWideWalk:
         _checked_walk(x, acc, target, wrap, tol, max_steps)
         assert bool(float_calls) is carried
 
+    @pytest.mark.parametrize("wrap,carried", [(10**6 + 3, False), (2**40 + 15, True)])
+    def test_point_and_empty_hit_intervals(self, float_calls, wrap, carried):
+        # lo == hi takes the equality loop and hits on that value; lo > hi
+        # never hits, even with both ends on values the walk reaches
+        x, acc, max_steps = 3, 5, 60
+        miss = _literal_walk(x, acc, -1, wrap, 0, max_steps)
+        assert miss[3] is SolveReason.EXHAUSTED_ITERATIONS
+        v = _literal_walk(x, acc, -1, wrap, 0, 41)[0]
+        hit = _walk_int(x, acc, v, v, wrap, max_steps)
+        assert hit == _literal_walk(x, acc, v, wrap, 0, max_steps)
+        assert hit[1] == 41 and hit[3] is SolveReason.FOUND
+        for lo, hi in ((v + 1, v), (v, v - 1), (wrap, 1)):
+            assert _walk_int(x, acc, lo, hi, wrap, max_steps) == miss
+        assert bool(float_calls) is carried
+
     def test_negative_x_stays_on_ints(self):
         # rotor_step rejects x < 1, but the kernel's guard does not rely on
         # it: the fold multiplies by a negative x and never wraps, and the
         # product here has 71 significant bits
         acc, x = 2**30 + 1, -(2**40 + 1)
-        got, _, subs, _ = _walk_int(x, acc, 0, 2**40, 0, 1)
+        got, _, subs, _ = _walk_int(x, acc, 0, 0, 2**40, 1)
         assert got == acc * x
         assert type(got) is int and type(subs) is int
 
@@ -565,7 +617,7 @@ def _reference_float_walk(x, first, target, wrap, tol, max_steps):
 
 def _checked_float_walk(x, acc, target, wrap, tol, max_steps):
     """``_walk_float``'s return, checked against the reference walk, value bit for bit."""
-    got = _walk_float(x, acc, target, wrap, tol, max_steps)
+    got = _walk_float(x, acc, target, tol, wrap, max_steps)
     want = _reference_float_walk(x, acc, target, wrap, tol, max_steps)
     assert (_bits(got[0]), *got[1:]) == (_bits(want[0]), *want[1:])
     return got
@@ -633,7 +685,7 @@ class TestFloatHandoff:
         monkeypatch.setattr("arcrotor.rotor._walk_int", lambda *a: calls.append(a) or real(*a))
         report = rotor_solve_real(APPENDIX, FLOAT64_DEGREES)
         assert (report.k, report.reason, report.counters) == _literal_float64_solve(APPENDIX, None)
-        assert [(c[0], c[3], c[5]) for c in calls] == [(13, 360 * 2**39, 370)]
+        assert [(c[0], c[4], c[5]) for c in calls] == [(13, 360 * 2**39, 370)]
 
     def test_fold_of_a_cycle_that_misses_the_start(self):
         # One literal step (2**20 + 1 adds) leaves the walk on the grid
@@ -641,10 +693,10 @@ class TestFloatHandoff:
         # 4,096 steps.  The float walk never sees its start 0.9999995 again,
         # so it runs out all 10,000 steps: the literal loops' result.
         x = 2**20 + 1
-        got = _walk_float(x, 0.9999995, 0.3, 1.0, 0.0, 10000)
+        got = _walk_float(x, 0.9999995, 0.3, 0.0, 1.0, 10000)
         assert got == (0.807983256643638, 10000, 5242510513, SolveReason.EXHAUSTED_ITERATIONS)
-        n = int(_walk_float(x, 0.9999995, 0.3, 1.0, 0.0, 1)[0] * 2**32)
-        _, period, _, reason = _walk_int(x, n, -1, 2**32, 0, 10000)
+        n = int(_walk_float(x, 0.9999995, 0.3, 0.0, 1.0, 1)[0] * 2**32)
+        _, period, _, reason = _walk_int(x, n, -1, -1, 2**32, 10000)
         assert (period, reason) == (4096, SolveReason.CYCLE_DETECTED)
 
     @pytest.mark.parametrize(
@@ -683,12 +735,12 @@ class TestFloatHandoff:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_hit_interval_ends_on_walk_grids(self, data):
-        # grids as fine as a handoff allows (2 * W < 2**53), both ends checked
+        # grids as fine as a handoff allows (W < 2**53), both ends checked
         wrap = data.draw(st.sampled_from([360.0, 1.0, 0.1]), label="wrap")
         wn, wd = wrap.as_integer_ratio()
         D = max(wd, 2 ** data.draw(st.integers(0, 52), label="log2 D"))
         W = wn * (D // wd)
-        assume(2 * W < 2**53)
+        assume(W < 2**53)
         p = data.draw(st.integers(3, 5000), label="p")
         target = data.draw(
             st.one_of(st.integers(1, p - 1).map(lambda y: y * (wrap / p)), st.floats(-wrap, wrap)),

@@ -77,14 +77,14 @@ def _instances():
 def _solve_records():
     for inst in _instances():
         r = rotor_solve_int(inst)
-        walk = _walk_int(inst.x, inst.x, inst.y, inst.p, 0, inst.p - 1)
+        walk = _walk_int(inst.x, inst.x, inst.y, inst.y, inst.p, inst.p - 1)
         yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
         for mode in MODES:
             for tolerance in TOLERANCES:
                 r = rotor_solve_real(inst, mode, tolerance)
                 tol = default_tolerance(mode, inst.p) if tolerance is None else tolerance
-                _, start, target, wrap, tol_raw = _arc_setup(inst, mode, tol)
-                walk = _walk_int(inst.x, start, target, wrap, tol_raw, inst.p - 1)
+                _, start, lo, hi, wrap = _arc_setup(inst, mode, tol)
+                walk = _walk_int(inst.x, start, lo, hi, wrap, inst.p - 1)
                 yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
 
 
@@ -98,7 +98,7 @@ def _step_records():
         counters = OpCounters()
         state = rotor_step(RotorState(acc, target, 1), x, wrap, counters)
         tol = rng.choice((0, rng.randrange(0, wrap)))
-        walk = _walk_int(x, acc, target, wrap, tol, rng.randrange(1, 10))
+        walk = _walk_int(x, acc, target - tol, target + tol, wrap, rng.randrange(1, 10))
         yield _typed([state.acc, state.target, state.exponent, *_counters(counters), *walk])
 
 
@@ -107,8 +107,8 @@ def _float_solve_records():
         for tolerance in TOLERANCES:
             r = rotor_solve_real(inst, FLOAT64_DEGREES, tolerance)
             tol = default_tolerance(FLOAT64_DEGREES, inst.p) if tolerance is None else tolerance
-            _, start, target, wrap, tol = _arc_setup(inst, FLOAT64_DEGREES, tol)
-            walk = _walk_float(inst.x, start, target, wrap, tol, inst.p - 1)
+            _, start, target, tol, wrap = _arc_setup(inst, FLOAT64_DEGREES, tol)
+            walk = _walk_float(inst.x, start, target, tol, wrap, inst.p - 1)
             yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
 
 
@@ -128,7 +128,7 @@ def _float_step_records():
         counters = OpCounters()
         state = rotor_step(RotorState(acc, target, 1), x, wrap, counters)
         tol = rng.choice((0.0, wrap / 2 / p, rng.uniform(0.0, wrap / p)))
-        walk = _walk_float(x, acc, target, wrap, tol, rng.randrange(1, 41))
+        walk = _walk_float(x, acc, target, tol, wrap, rng.randrange(1, 41))
         yield _typed([state.acc, state.target, state.exponent, *_counters(counters), *walk])
 
 
