@@ -32,7 +32,7 @@ from .rotor import (
     DlogInstance,
     SolveReason,
     SolveReport,
-    _orbit,
+    _walk_int,
     rotor_solve_int,
     rotor_solve_real,
 )
@@ -527,13 +527,15 @@ class EquivalenceResult:
 
 
 def _rotor_ks(p: int, x: int) -> dict[int, int]:
-    # The rotor's k of every reachable y in [1, p), read off one orbit by
-    # _solve's rules: the pre-checks answer y = 1 (k = 0) and y = x (k = 1),
-    # and orbit position s (from 1, the value x^2) answers k = s + 1 at a
-    # value's first appearance.
+    # The rotor's k of every reachable y in [1, p) by _solve's rules, read
+    # off the trail of a walk that cannot hit ([1, 0] is empty): y = 1 and
+    # y = x are the pre-checks' k = 0 and 1, and trail position s (from 1,
+    # the value x^2) answers k = s + 1 at a value's first appearance.
     ks = {1: 0}
     ks.setdefault(x, 1)
-    for k, value in enumerate(_orbit(x, x, p, p - 1), 2):
+    trail: list[int] = []
+    _walk_int(x, x, 1, 0, p, p - 1, trail)
+    for k, value in enumerate(trail, 2):
         ks.setdefault(value, k)
     ks.pop(p, None)  # the strict-> wrap parks 0 at the bound p, never a target
     return ks
@@ -557,9 +559,9 @@ def verify_equivalence(p_max: int) -> EquivalenceResult:
     """Check all solvers agree on every instance with p <= p_max.
 
     Per (p, x), the rotor's k for every y is read off one integer-field
-    orbit (``rotor._orbit``, the solve's own kernel stepped once per value)
-    and the least k for every y off one brute-force scan of modular powers;
-    the two must agree on every y in [1, p).  The public solvers
+    orbit (the trail of one ``rotor._walk_int`` walk, the solve's own
+    kernel) and the least k for every y off one brute-force scan of modular
+    powers; the two must agree on every y in [1, p).  The public solvers
     ``rotor_solve_int`` and ``naive_solve``, and ``bsgs_solve`` where
     gcd(x, p) = 1, are each compared with the scan per instance: on every
     (x, y) for p <= 30, and above that on the reachable y with the largest

@@ -33,8 +33,8 @@ per arithmetic family:
   accumulator has a short mantissa.
 
 ``rotor_solve_int``, ``rotor_solve_real``, the single-step driver
-``rotor_step`` and the orbit generator ``_orbit`` are thin views over these
-two kernels; exact arc mode is a view of the integer-field solve.
+``rotor_step`` and verify's orbits (``_walk_int``'s trail) are thin views
+over these two kernels; exact arc mode is a view of the integer-field solve.
 
 Faithfulness notes that shape the observable behaviour:
 
@@ -73,8 +73,9 @@ class DlogInstance:
     """A discrete-log problem triple (p, x, y) over the residues mod p.
 
     p need not be prime; the solvers are defined on any multiplicative
-    structure mod p, with "no solution" a legitimate outcome.  Error
-    messages start with the offending field's name.
+    structure mod p, with "no solution" a legitimate outcome.  Each field
+    must be a whole number (what ``operator.index`` takes) and is stored as
+    an int.  Error messages start with the offending field's name.
     """
 
     p: int
@@ -82,6 +83,10 @@ class DlogInstance:
     y: int
 
     def __post_init__(self) -> None:
+        if not type(self.p) is type(self.x) is type(self.y) is int:
+            for name in ("p", "x", "y"):
+                value = _whole(getattr(self, name), name, InvalidInstanceError)
+                object.__setattr__(self, name, value)
         if self.p < 2:
             raise InvalidInstanceError(f"p must be >= 2, got p={self.p}")
         if not 1 <= self.x < self.p:
@@ -149,7 +154,7 @@ _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 _WIDE_WRAP = 2**30
 
 
-def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int):
+def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, trail=None):
     # `acc *= x` is the exact fold of x-fold repeated addition, and
     # `acc % wrap or wrap` that of the strict-> subtraction loop: an exact
     # multiple settles at the bound.  The `> wrap` guard leaves a value
@@ -160,7 +165,8 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int):
     # x * (a[0] + ... + a[n-1]) = wrap * sum(m) + (a[1] + ... + a[n]), so the
     # loop keeps only the running sum `total` of a[1..n], and sum(m) is one
     # exact division at the end.  Equality is the cheaper test, so lo == hi
-    # (the integer field and every single step) gets its own loop.
+    # (the integer field and every single step) gets its own loop; a list
+    # `trail` takes a third, which also appends each value (verify's orbits).
     # Wide walks run the same loops on float64 carriers.  Every integer of
     # magnitude below 2**53 is a float64, and `*`, `%`, `+` and comparisons
     # on such integers, with an integer result of that size, are exact
@@ -172,7 +178,7 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int):
     # float `%` is fmod, always exact, plus a sign fix that non-negative
     # operands never take.  So each float operation equals its int one, and
     # the values go back to int for the subtraction count, whose product can
-    # pass 2**53.
+    # pass 2**53.  A trail of a wide walk holds the float carriers.
     wide = (
         wrap >= _WIDE_WRAP
         and 0 <= acc
@@ -184,7 +190,20 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int):
         x, acc, lo, hi, wrap = float(x), float(acc), float(lo), float(hi), float(wrap)
     first, total = acc, 0
     steps, reason = max_steps, SolveReason.EXHAUSTED_ITERATIONS
-    if lo == hi:
+    if trail is not None:
+        for steps in range(1, max_steps + 1):
+            acc *= x
+            if acc > wrap:
+                acc = acc % wrap or wrap
+            total += acc
+            trail.append(acc)
+            if lo <= acc <= hi:
+                reason = SolveReason.FOUND
+                break
+            if acc == first:
+                reason = SolveReason.CYCLE_DETECTED
+                break
+    elif lo == hi:
         for steps in range(1, max_steps + 1):
             acc *= x
             if acc > wrap:
@@ -382,51 +401,37 @@ def rotor_step(
     ``x`` must be a whole number (what ``operator.index`` takes) of at
     least 1 and ``wrap`` positive, in the state's native units: p for
     integer-field and exact-arc states, 360 << bits for fixed-point states,
-    360.0 for float64 states.  An int state needs a whole wrap, a float
-    state a finite acc; else ValueError names the field, and ``counters``
-    is untouched.  Runs the solvers' own kernel for one step; exactly x
-    additions and that step's subtractions are charged to ``counters``.  A
-    float step whose ``acc - wrap`` rounds back to acc raises ValueError,
-    as the literal subtraction loop would never end.
+    360.0 for float64 states.  An int state needs a whole acc and wrap, a
+    float state a finite acc; else ValueError names the field, and
+    ``counters`` is untouched.  Runs the solvers' own kernel for one step;
+    exactly x additions and that step's subtractions are charged to
+    ``counters``.  A float step whose ``acc - wrap`` rounds back to acc
+    raises ValueError, as the literal subtraction loop would never end.
     """
     x = _whole(x, "x")
     if x < 1:  # the x-fold addition adds x >= 1 copies
         raise ValueError(f"x must be >= 1, got {x}")
     if not wrap > 0:  # also rejects nan
         raise ValueError(f"wrap must be positive, got {wrap}")
-    if isinstance(state.acc, float):
-        if not isfinite(state.acc):
-            raise ValueError(f"acc must be finite, got {state.acc}")
+    acc = state.acc
+    if isinstance(acc, float):
+        if not isfinite(acc):
+            raise ValueError(f"acc must be finite, got {acc}")
         walk = _walk_float
     else:
-        wrap, walk = _whole(wrap, "wrap of an integer state"), _walk_int
-    acc, _, subs, _ = walk(x, state.acc, 0, 0, wrap, 1)  # one step ignores the hit test
+        acc, walk = _whole(acc, "acc of an integer state"), _walk_int
+        wrap = _whole(wrap, "wrap of an integer state")
+    acc, _, subs, _ = walk(x, acc, 0, 0, wrap, 1)  # one step ignores the hit test
     counters.additions += x
     counters.subtractions += subs
     return RotorState(acc, state.target, state.exponent + 1)
 
 
-def _whole(value, name: str) -> int:
+def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
     try:
         return index(value)
     except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
-
-
-def _orbit(x: int, start: int, wrap: int, max_steps: int):
-    """Yield an integer walk's successive values from ``start``, one kernel step each.
-
-    Stops right after the first return to ``start`` or after ``max_steps``
-    values, as a solve from ``start`` stops when no target is hit.  For
-    fixed (p, x) the integer-field walk does not depend on y, so one orbit
-    answers every target.
-    """
-    acc = start
-    for _ in range(max_steps):
-        acc = _walk_int(x, acc, 0, 0, wrap, 1)[0]
-        yield acc
-        if acc == start:
-            return
+        raise error(f"{name} must be a whole number, got {value!r}") from None
 
 
 def initial_state(inst: DlogInstance) -> RotorState:

@@ -519,13 +519,15 @@ class TestVerifyEquivalence:
         # 2 generates the units mod 37, so its orbit from 2 runs 4, 8, 16, ...
         # with each value once.  Reading the earlier 4 in place of 16 leaves
         # 16 (least k 4) without an answer, and no other y changes.
-        orbit = bench._orbit
+        walk = bench._walk_int
 
-        def corrupted(x, start, wrap, max_steps):
-            for value in orbit(x, start, wrap, max_steps):
-                yield 4 if (wrap, x, value) == (37, 2, 16) else value
+        def corrupted(x, acc, lo, hi, wrap, max_steps, trail=None):
+            out = walk(x, acc, lo, hi, wrap, max_steps, trail)
+            if trail is not None and (wrap, x) == (37, 2):
+                trail[:] = [4 if value == 16 else value for value in trail]
+            return out
 
-        monkeypatch.setattr(bench, "_orbit", corrupted)
+        monkeypatch.setattr(bench, "_walk_int", corrupted)
         result = verify_equivalence(37)
         assert result.instances == sum((p - 1) ** 2 for p in range(2, 38))
         assert result.mismatches == 1

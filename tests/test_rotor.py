@@ -1,5 +1,6 @@
 """Rotor solver behaviour: worked trajectories, counters, invariants."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -30,7 +31,8 @@ from arcrotor import (
     rotor_step,
 )
 from arcrotor.bench import _rotor_ks
-from arcrotor.rotor import _hit_interval, _orbit, _walk_float, _walk_int
+from arcrotor.cli import _solve_payload
+from arcrotor.rotor import _hit_interval, _walk_float, _walk_int
 
 APPENDIX = DlogInstance(373, 13, 158)
 
@@ -111,6 +113,32 @@ class TestInstanceValidation:
 
     def test_composite_modulus_accepted(self):
         DlogInstance(12, 2, 8)
+
+    @pytest.mark.parametrize(
+        "p,x,y,field", [(7.0, 3, 5, "p"), (7.5, 3, 5, "p"), (7, 3.0, 5, "x"), (7, 3, 5.0, "y")]
+    )
+    def test_non_whole_field_rejected(self, p, x, y, field):
+        with pytest.raises(InvalidInstanceError, match=f"^{field} must be a whole number"):
+            DlogInstance(p, x, y)
+
+    def test_numpy_ints_stored_as_ints(self):
+        inst = DlogInstance(np.int64(101), np.int64(3), np.int64(5))
+        assert inst == DlogInstance(101, 3, 5)
+        assert [type(v) for v in (inst.p, inst.x, inst.y)] == [int, int, int]
+        report = rotor_solve_int(inst)
+        assert report == rotor_solve_int(DlogInstance(101, 3, 5))
+        payload = _solve_payload(report)
+        counts = ("k", "additions", "subtractions", "comparisons", "outer_steps")
+        assert [type(payload[name]) for name in counts] == [int] * 5
+        json.dumps(payload)
+
+    def test_wide_numpy_ints_do_not_overflow(self):
+        # x**2 already passes 2**63: a fixed-width fold would wrap around
+        # and miss the target
+        p, x = 2**33 + 17, 2**32 + 1
+        inst = DlogInstance(np.int64(p), np.int64(x), np.int64(pow(x, 3, p)))
+        assert [type(v) for v in (inst.p, inst.x, inst.y)] == [int, int, int]
+        assert rotor_solve_int(inst).k == 3
 
     def test_solver_rejects_non_instance(self):
         with pytest.raises(InvalidInstanceError):
@@ -385,6 +413,13 @@ class TestRotorStep:
         assert _bits(state.acc) == _bits(expected.acc) and c == want
         assert type(state.acc) is type(acc) and type(c.additions) is int
 
+    def test_numpy_int_acc_is_a_whole_number(self):
+        # x * acc = 2**64 passes int64: the fold must not wrap it to 0
+        c = OpCounters()
+        state = rotor_step(RotorState(acc=np.int64(2**40), target=0, exponent=1), 2**24, 2**62, c)
+        assert state.acc == 2**62 and type(state.acc) is int
+        assert c.subtractions == 3 and type(c.subtractions) is int
+
     @pytest.mark.parametrize("acc", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_float_acc_rejected(self, acc):
         c = OpCounters()
@@ -435,25 +470,39 @@ class TestOrbit:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_orbit_matches_literal_steps(self, data):
-        # successive literal add-and-subtract steps, ending right after the
-        # first return to start or after max_steps values
+        # a walk with a trail returns what the walk without one returns, and
+        # the trail is its successive literal add-and-subtract steps, ending
+        # at the hit, right after the first return to start, or after
+        # max_steps values
         wrap = data.draw(st.integers(2, 300), label="wrap")
         x = data.draw(st.integers(1, wrap - 1), label="x")
-        start = data.draw(st.integers(1, 2 * wrap), label="start")
+        acc = data.draw(st.integers(1, 2 * wrap), label="acc")
         max_steps = data.draw(st.integers(0, 2 * wrap), label="max_steps")
+        lo = data.draw(st.integers(0, wrap + 1), label="lo")
+        hi = data.draw(st.sampled_from([lo, lo - 1, min(lo + wrap // 4, wrap)]), label="hi")
+        trail = []
+        got = _walk_int(x, acc, lo, hi, wrap, max_steps, trail)
+        plain = _walk_int(x, acc, lo, hi, wrap, max_steps)
+        assert got == plain
+        assert [type(v) for v in got] == [type(v) for v in plain]
         expected = []
-        acc = start
+        value = acc
         while len(expected) < max_steps:
-            acc, _ = _literal_step(acc, x, wrap)
-            expected.append(acc)
-            if acc == start:
+            value, _ = _literal_step(value, x, wrap)
+            expected.append(value)
+            if lo <= value <= hi or value == acc:
                 break
-        assert list(_orbit(x, start, wrap, max_steps)) == expected
+        assert trail == expected
+        assert all(type(v) is int for v in trail)
 
     def test_orbit_stops_after_returning_to_start(self):
         # powers of 2 mod 7 from 2: 4, 1, 2, then the walk would repeat
-        assert list(_orbit(2, 2, 7, 6)) == [4, 1, 2]
-        assert list(_orbit(2, 2, 7, 2)) == [4, 1]
+        trail = []
+        assert _walk_int(2, 2, 1, 0, 7, 6, trail) == (2, 3, 1, SolveReason.CYCLE_DETECTED)
+        assert trail == [4, 1, 2]
+        trail = []
+        _walk_int(2, 2, 1, 0, 7, 2, trail)
+        assert trail == [4, 1]
 
     def test_orbit_k_matches_solver_small_exhaustive(self):
         # every (p, x, y) with p <= 40, past the p <= 30 range on which

@@ -1,10 +1,10 @@
-"""Same-behaviour digest of the rotor solvers: one record count and one sha256.
+"""Same-behaviour digest of the rotor solvers: record counts and sha256s.
 
 Run from the root of a checkout (``src/`` is put on the path):
 
     python tools/solve_digest.py
 
-Two trees that print the same line give the same answers on every input
+Two trees that print the same lines give the same answers on every input
 below.  Each record holds the values and their Python types, so an int that
 turns into a float changes the digest.
 
@@ -24,6 +24,11 @@ turns into a float changes the digest.
   start in (-10, 1000) degrees scaled to the wrap, or dyadic): the new
   state and the counters, and the full return of a ``_walk_float`` walk of
   1 to 40 steps from that state.
+
+The ``records`` line hashes these.  The ``orbits`` line hashes, for each
+distinct (p, x) of the instances above, the trail and the full return of
+the integer-field orbit walk ``_walk_int(x, x, 1, 0, p, p - 1, trail)``,
+the orbit that exhaustive verify reads.
 
 Floats are hashed by ``float.hex``, so every bit counts.
 """
@@ -132,16 +137,28 @@ def _float_step_records():
         yield _typed([state.acc, state.target, state.exponent, *_counters(counters), *walk])
 
 
-def main() -> None:
+def _orbit_records():
+    for p, x in dict.fromkeys((inst.p, inst.x) for inst in _instances()):
+        trail = []
+        walk = _walk_int(x, x, 1, 0, p, p - 1, trail)
+        yield _typed([*walk, *trail])
+
+
+def _digest(*parts) -> str:
     digest = hashlib.sha256()
     count = 0
-    parts = (_solve_records(), _step_records(), _float_solve_records(), _float_step_records())
     for records in parts:
         for record in records:
             digest.update(record.encode())
             digest.update(b"\n")
             count += 1
-    print(f"records {count} sha256 {digest.hexdigest()}")
+    return f"{count} sha256 {digest.hexdigest()}"
+
+
+def main() -> None:
+    parts = (_solve_records(), _step_records(), _float_solve_records(), _float_step_records())
+    print(f"records {_digest(*parts)}")
+    print(f"orbits {_digest(_orbit_records())}")
 
 
 if __name__ == "__main__":
