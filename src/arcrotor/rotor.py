@@ -16,7 +16,11 @@ per arithmetic family:
   CPython int digit, as in fixed point from 22 bits up) runs the same loops
   on float64 carriers when every value, product and running sum is an
   integer below 2**53, where float ``*``, ``%``, ``+`` and comparisons are
-  exact; the results are the same ints.
+  exact; the results are the same ints.  A narrow walk (wrap below 2**30)
+  with a bound above 1,088 steps that is still running after a head of 64
+  steps goes on in numpy blocks: the value t = i * 32 + r + 1 steps on is
+  one entry of the product table of giant steps acc * x**(32 i) by baby
+  steps x**(r + 1), mod the wrap, exact in int64.
 * ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
   per-operation rounding is precisely what a precision scan measures, so
   its result is identical to the literal loops' (value, bit for bit, and
@@ -56,9 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import fmod, inf, isfinite
 from operator import index
+
+import numpy as np
 
 from .counters import OpCounters
 from .numerics import EXACT, NumericMode, check_tolerance, default_tolerance
@@ -152,6 +157,18 @@ _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 # run faster on float64 carriers (fixed:24 and fixed:32 scans, x1.7); walks
 # within one digit run faster on ints (the integer field, x0.7 on floats).
 _WIDE_WRAP = 2**30
+# A narrow walk runs its first _BLOCK_HEAD steps on the loop, where most
+# solves end, and the rest in numpy blocks of _ORBIT_ROW columns (baby
+# steps) by a doubling number of rows (giant steps).  _BLOCK_VALUES caps the
+# values in one block, so a block's arrays stay near 1 MB at any max_steps.
+# A block costs about as much as 200 loop steps at any size, so blocks run
+# only where max_steps leaves room for a full first block after the head.
+# Entered from step 64 on, they made verify's solver walks up to p = 500
+# 1.2-1.4x slower: most of those that pass the head end within 300 steps.
+_BLOCK_HEAD = 64
+_ORBIT_ROW = 32
+_BLOCK_VALUES = 2**15
+_BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2
 
 
 def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, trail=None):
@@ -179,6 +196,30 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # operands never take.  So each float operation equals its int one, and
     # the values go back to int for the subtraction count, whose product can
     # pass 2**53.  A trail of a wide walk holds the float carriers.
+    # A walk with max_steps > _BLOCK_MIN_STEPS runs a head of _BLOCK_HEAD
+    # steps on the loop and the rest in _orbit_blocks, when x >= 1,
+    # acc >= 1, 1 <= wrap < _WIDE_WRAP (so the walk is not wide) and no
+    # trail is kept.
+    # Then every value after the first step lies in [1, wrap]: a product
+    # a * x >= 1 is either kept (at most wrap) or wrapped into [1, wrap].
+    # On [1, wrap] a step maps a to a * x mod wrap, with 0 mapped to wrap,
+    # so the value t steps on from acc is acc * x**t mod wrap, 0 mapped to
+    # wrap.  With B[r] = x**(r + 1) mod wrap for r < M = _ORBIT_ROW and
+    # g = x**M mod wrap, step t = i * M + r + 1 reaches G[i] * B[r] mod wrap
+    # for G[i] = acc * g**i mod wrap: a block is one product table.  Its
+    # first value in [lo, hi] or equal to the start is where the loop stops,
+    # a hit when in [lo, hi], as the loop tests the hit first.  Both factors
+    # are below 2**30, so every product is below 2**60, and a block's sum of
+    # at most _BLOCK_VALUES values up to wrap is below 2**45: int64 is exact.
+    head = max_steps
+    if (
+        max_steps > _BLOCK_MIN_STEPS
+        and trail is None
+        and x >= 1
+        and acc >= 1
+        and 1 <= wrap < _WIDE_WRAP
+    ):
+        head = _BLOCK_HEAD
     wide = (
         wrap >= _WIDE_WRAP
         and 0 <= acc
@@ -204,7 +245,7 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
                 reason = SolveReason.CYCLE_DETECTED
                 break
     elif lo == hi:
-        for steps in range(1, max_steps + 1):
+        for steps in range(1, head + 1):
             acc *= x
             if acc > wrap:
                 acc = acc % wrap or wrap
@@ -216,7 +257,7 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
                 reason = SolveReason.CYCLE_DETECTED
                 break
     else:
-        for steps in range(1, max_steps + 1):
+        for steps in range(1, head + 1):
             acc *= x
             if acc > wrap:
                 acc = acc % wrap or wrap
@@ -227,9 +268,51 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
             if acc == first:
                 reason = SolveReason.CYCLE_DETECTED
                 break
+    if head < max_steps and reason is SolveReason.EXHAUSTED_ITERATIONS:
+        acc, steps, more, reason = _orbit_blocks(x, acc, first, lo, hi, wrap, head, max_steps)
+        total += more
     if wide:
         x, acc, first, total, wrap = int(x), int(acc), int(first), int(total), int(wrap)
     return acc, steps, (x * (first + total - acc) - total) // wrap, reason
+
+
+def _orbit_blocks(
+    x: int, acc: int, first: int, lo: int, hi: int, wrap: int, steps: int, max_steps: int
+):
+    """The rest of a narrow walk at acc in [1, wrap] after ``steps`` steps, in product tables.
+
+    Returns (acc, steps, total, reason), total the sum of the values walked
+    here; _walk_int's comment has the proof.
+    """
+    baby = np.empty(_ORBIT_ROW, np.int64)
+    g = 1
+    for r in range(_ORBIT_ROW):
+        g = g * x % wrap
+        baby[r] = g
+    # clamped into int64: values lie in [1, wrap], so ends and a start
+    # outside it change no test
+    lo, hi = min(max(lo, 0), wrap + 1), min(max(hi, 0), wrap + 1)
+    if first > wrap:
+        first = 0
+    total, rows = 0, _ORBIT_ROW
+    while steps < max_steps:
+        n = min(rows * _ORBIT_ROW, max_steps - steps)
+        giant = [acc]
+        for _ in range(1, -(-n // _ORBIT_ROW)):
+            giant.append(giant[-1] * g % wrap)
+        values = (np.array(giant, np.int64)[:, None] * baby % wrap).ravel()[:n]
+        values[values == 0] = wrap
+        stop = ((values >= lo) & (values <= hi)) | (values == first)
+        i = int(stop.argmax())
+        if stop[i]:
+            acc = int(values[i])
+            reason = SolveReason.FOUND if lo <= acc <= hi else SolveReason.CYCLE_DETECTED
+            return acc, steps + i + 1, total + int(values[: i + 1].sum()), reason
+        total += int(values.sum())
+        acc = int(values[-1])
+        steps += n
+        rows = min(2 * rows, _BLOCK_VALUES // _ORBIT_ROW)
+    return acc, steps, total, SolveReason.EXHAUSTED_ITERATIONS
 
 
 def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_steps: int):
@@ -380,7 +463,8 @@ def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
     # Fixed point rounds only theta and the tolerance; everything after that
     # is exact integer arithmetic on raw units.
     scale = 1 << mode.fractional_bits
-    theta_raw = round(Fraction(360 * scale, p))
+    q, r = divmod(360 * scale, p)  # theta_raw = 360 * scale / p, rounded half to even
+    theta_raw = q + (2 * r > p or (2 * r == p and q & 1))
     target, tol = y * theta_raw, round(tolerance * scale)
     return _walk_int, x * theta_raw, target - tol, target + tol, 360 * scale
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +33,17 @@ from arcrotor import (
 )
 from arcrotor.bench import _rotor_ks
 from arcrotor.cli import _solve_payload
-from arcrotor.rotor import _hit_interval, _walk_float, _walk_int
+from arcrotor.rotor import (
+    _BLOCK_HEAD,
+    _BLOCK_MIN_STEPS,
+    _BLOCK_VALUES,
+    _ORBIT_ROW,
+    _arc_setup,
+    _hit_interval,
+    _orbit_blocks,
+    _walk_float,
+    _walk_int,
+)
 
 APPENDIX = DlogInstance(373, 13, 158)
 
@@ -57,6 +68,27 @@ def _literal_walk(x, first, target, wrap, tol, max_steps):
         acc, m = _literal_step(acc, x, wrap)
         subs += m
         if abs(acc - target) <= tol:
+            return acc, step, subs, SolveReason.FOUND
+        if acc == first:
+            return acc, step, subs, SolveReason.CYCLE_DETECTED
+    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
+def _product_walk(x, first, lo, hi, wrap, max_steps):
+    """``_literal_walk`` with hits on [lo, hi], for x or values too large to step through literally.
+
+    The x-fold addition is one product, and the subtraction loop of a value
+    v > wrap runs (v - 1) // wrap times.
+    """
+    acc = first
+    subs = 0
+    for step in range(1, max_steps + 1):
+        acc *= x
+        if acc > wrap:
+            m = (acc - 1) // wrap
+            acc -= m * wrap
+            subs += m
+        if lo <= acc <= hi:
             return acc, step, subs, SolveReason.FOUND
         if acc == first:
             return acc, step, subs, SolveReason.CYCLE_DETECTED
@@ -219,6 +251,17 @@ class TestRotorSolveReal:
         report = rotor_solve_real(DlogInstance(184327, 5, 7), fixed_point(8))
         assert (report.k, report.reason) == (2, SolveReason.FOUND)
         assert report.counters == OpCounters(5, 0, 3, 1)
+
+    @pytest.mark.parametrize(
+        "p,bits",
+        # 360 / t ends in .5 for these t, and so does 360 * 2**b / (t * 2**b)
+        [(t << b, b) for t in (16, 48, 80, 144, 240, 720) for b in (8, 9, 32)]
+        + [(p, b) for p in (2, 3, 7, 373, 4999, 184327, 2**61 - 1) for b in (8, 9, 32, 40, 112)],
+    )
+    def test_fixed_point_theta_rounds_half_to_even(self, p, bits):
+        _, start, _, _, _ = _arc_setup(DlogInstance(p, 1, 1), fixed_point(bits), 0.0)
+        assert start == round(Fraction(360 << bits, p))
+        assert type(start) is int
 
     def test_fixed_point_precision_dependent(self):
         wide = rotor_solve_real(APPENDIX, fixed_point(32))
@@ -630,6 +673,156 @@ class TestWideWalk:
         c = report.counters
         values = [report.k, c.additions, c.subtractions, c.comparisons, c.outer_steps]
         assert all(type(v) is int for v in values if v is not None), values
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The ``_orbit_blocks`` calls that ``_walk_int`` makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _orbit_blocks(*args)
+
+    monkeypatch.setattr("arcrotor.rotor._orbit_blocks", spy)
+    return calls
+
+
+def _checked_block_walk(x, acc, lo, hi, wrap, max_steps):
+    """``_walk_int``'s return, checked against the product walk, value, counts and types."""
+    got = _walk_int(x, acc, lo, hi, wrap, max_steps)
+    assert got == _product_walk(x, acc, lo, hi, wrap, max_steps)
+    assert [type(v) for v in got] == [int, int, int, SolveReason]
+    return got
+
+
+# the orbit of 3 mod the prime 4999 has all 4998 units: from x^1 = 3, step s
+# reaches 3**(s + 1) mod 4999 and no value repeats before step 4998
+P, G = 4999, 3
+BLOCK_1 = _BLOCK_HEAD + _ORBIT_ROW**2  # the last step of the first block
+BLOCK_2 = BLOCK_1 + 2 * _ORBIT_ROW**2  # and of the second, twice as tall
+
+
+class TestOrbitBlocks:
+    # Narrow walks whose bound leaves room for a full first block run in
+    # numpy product tables after the head; each answer must be the loop's.
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_walks_match_literal_walk(self, data):
+        wrap = data.draw(st.one_of(st.integers(2, 5000), st.integers(2, W30 - 1)), label="wrap")
+        x = data.draw(st.integers(2, 20), label="x")
+        acc = data.draw(st.integers(1, 3 * wrap), label="acc")
+        max_steps = data.draw(st.integers(_BLOCK_MIN_STEPS, 4000), label="max_steps")
+        # a value of the walk past the head, or any value
+        on_walk = st.integers(_BLOCK_HEAD + 1, max_steps).map(
+            lambda s: _product_walk(x, acc, 1, 0, wrap, s)[0]
+        )
+        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
+        tol = data.draw(st.sampled_from([0, -1, 1, wrap // 2000]), label="tol")
+        _checked_walk(x, acc, target, wrap, tol, max_steps)
+
+    @pytest.mark.parametrize(
+        "step",
+        [_BLOCK_HEAD, _BLOCK_HEAD + 1, _BLOCK_HEAD + 2, BLOCK_1, BLOCK_1 + 1, BLOCK_2, BLOCK_2 + 1],
+    )
+    def test_hit_at_each_edge(self, block_calls, step):
+        v = pow(G, step + 1, P)
+        got = _checked_block_walk(G, G, v, v, P, P - 1)
+        assert got[1:4:2] == (step, SolveReason.FOUND)
+        assert bool(block_calls) is (step > _BLOCK_HEAD)
+
+    def test_smallest_bound_that_enters_blocks(self, block_calls):
+        # one full block, then a block of the one step left
+        steps = _BLOCK_MIN_STEPS + 1
+        v = pow(G, steps + 1, P)
+        assert _checked_block_walk(G, G, v, v, P, steps)[1:4:2] == (steps, SolveReason.FOUND)
+        got = _checked_block_walk(G, G, 1, 0, P, steps)
+        assert got[0] == v and got[3] is SolveReason.EXHAUSTED_ITERATIONS
+        assert len(block_calls) == 2
+        _checked_block_walk(G, G, v, v, P, _BLOCK_MIN_STEPS)
+        assert len(block_calls) == 2
+
+    def test_return_to_start_in_a_block(self):
+        # the last value is the start: a cycle, or a hit when the start is
+        # in [lo, hi], since the loop tests the hit first.  Every unit is
+        # walked from once and reached once, so the subtractions are
+        # (x - 1) * (1 + ... + (P - 1)) / P.
+        assert _checked_block_walk(G, G, 1, 0, P, P - 1)[1:] == (
+            P - 1,
+            (G - 1) * (P - 1) // 2,
+            SolveReason.CYCLE_DETECTED,
+        )
+        assert _checked_block_walk(G, G, G, G, P, P - 1)[1:4:2] == (P - 1, SolveReason.FOUND)
+
+    def test_composite_wrap_parks_at_the_bound(self, block_calls):
+        # 6**10 * 5 is a multiple of 3 * 2**10: from step 10 on, the value
+        # settles at the bound (the strict > wrap) and every step subtracts
+        # x - 1 = 5 times
+        wrap = 3 * 2**10
+        acc, steps, subs, reason = _checked_block_walk(6, 5, 1, 0, wrap, 1500)
+        assert (acc, steps, reason) == (wrap, 1500, SolveReason.EXHAUSTED_ITERATIONS)
+        assert block_calls
+        assert _literal_walk(6, 5, -1, wrap, 0, 1500) == (acc, steps, subs, reason)
+
+    @pytest.mark.parametrize("x,acc", [(5, W30 - 2), (2**29 + 9, W30 - 5), (W30 - 3, 2**29)])
+    def test_products_near_2_to_60(self, x, acc):
+        # wrap 2**30 - 1: orders 1650, 330 and 30, so the first two return
+        # to start inside a block
+        assert _checked_block_walk(x, acc, 1, 0, W30 - 1, 4000)[3] is SolveReason.CYCLE_DETECTED
+        target = _product_walk(x, acc, 1, 0, W30 - 1, 200)[0]
+        _checked_block_walk(x, acc, target, target, W30 - 1, 4000)
+
+    @pytest.mark.parametrize(
+        "lo,hi,step,reason",
+        [
+            (-(2**70), 2**70, 1, SolveReason.FOUND),
+            (-(2**70), 1, P - 2, SolveReason.FOUND),  # 3**(P - 1) = 1
+            (P - 1, 2**70, (P - 1) // 2 - 1, SolveReason.FOUND),  # 3**((P - 1) / 2) = -1
+            (-(2**70), 0, P - 1, SolveReason.CYCLE_DETECTED),
+            (P + 1, 2**70, P - 1, SolveReason.CYCLE_DETECTED),
+            (2**70, -(2**70), P - 1, SolveReason.CYCLE_DETECTED),
+        ],
+    )
+    def test_ends_far_outside_the_wrap(self, lo, hi, step, reason):
+        assert _checked_block_walk(G, G, lo, hi, P, P - 1)[1:4:2] == (step, reason)
+
+    @pytest.mark.parametrize(
+        "x,acc,wrap,max_steps,trail,entered",
+        [
+            (G, G, P, _BLOCK_MIN_STEPS, None, False),
+            (G, G, P, _BLOCK_MIN_STEPS + 1, None, True),
+            (G, 7 * P + 2, P, 2000, None, True),  # a start above the wrap
+            (G, 2**70, P, 2000, None, True),
+            (1, 7 * P + 2, P, 2000, None, True),
+            (G, 0, P, 2000, None, False),  # 0 stays 0
+            (G, -5, P, 2000, None, False),  # a negative value never wraps
+            (-G, G, P, 2000, None, False),
+            (0, G, P, 2000, None, False),
+            (G, G, P, 2000, [], False),  # verify's trails stay on the loop
+            (G, 5, W30 - 1, 2000, None, True),
+            (G, 5, W30, 2000, None, False),  # wide: float64 carriers
+        ],
+    )
+    def test_which_walks_enter_blocks(self, block_calls, x, acc, wrap, max_steps, trail, entered):
+        got = _walk_int(x, acc, 1, 0, wrap, max_steps, trail)
+        assert got == _product_walk(x, acc, 1, 0, wrap, max_steps)
+        assert type(got[0]) is type(got[2]) is int
+        assert bool(block_calls) is entered
+
+    def test_long_walk_memory_is_bounded(self, block_calls):
+        # 2 has order 1000002 mod the prime 1000003: no return to start, and
+        # the walk spans dozens of full blocks
+        x, wrap, max_steps = 2, 1_000_003, 10**6
+        assert max_steps > 20 * _BLOCK_VALUES
+        tracemalloc.start()
+        try:
+            got = _walk_int(x, x, 1, 0, wrap, max_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _product_walk(x, x, 1, 0, wrap, max_steps)
+        assert block_calls
+        assert peak < 2 * 2**20
 
 
 def _float_fold(acc, x):

@@ -28,7 +28,10 @@ turns into a float changes the digest.
 The ``records`` line hashes these.  The ``orbits`` line hashes, for each
 distinct (p, x) of the instances above, the trail and the full return of
 the integer-field orbit walk ``_walk_int(x, x, 1, 0, p, p - 1, trail)``,
-the orbit that exhaustive verify reads.
+the orbit that exhaustive verify reads.  The ``walks`` line hashes the full
+return of 4,000 seeded integer walks with wraps below 2**30, whose hits and
+ends fall on each side of the step counts where the integer kernel moves
+from its loop to numpy blocks and from one block to the next.
 
 Floats are hashed by ``float.hex``, so every bit counts.
 """
@@ -144,6 +147,23 @@ def _orbit_records():
         yield _typed([*walk, *trail])
 
 
+def _walk_records():
+    rng = random.Random(SEED + 3)
+    # hits and ends on each side of where the integer kernel's loop hands
+    # over to blocks (64 steps, in walks with bounds from 1,089 steps on), and
+    # of blocks of 1,024 and 2,048 values
+    edges = (1, 2, 63, 64, 65, 66, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
+    for _ in range(4000):
+        wrap = rng.choice((rng.randrange(2, 5000), rng.randrange(2, 2**30)))
+        x = rng.randrange(1, 2 * wrap)
+        acc = rng.choice((rng.randrange(1, wrap + 1), rng.randrange(0, 3 * wrap + 1)))
+        max_steps = rng.choice(edges + (rng.randrange(0, 6000),))
+        s = rng.choice(edges + (rng.randrange(1, 6000),))
+        target = rng.choice((acc * pow(x, s, wrap) % wrap or wrap, rng.randrange(0, wrap + 1)))
+        tol = rng.choice((0, -1, 1, wrap // 2000))
+        yield _typed(_walk_int(x, acc, target - tol, target + tol, wrap, max_steps))
+
+
 def _digest(*parts) -> str:
     digest = hashlib.sha256()
     count = 0
@@ -159,6 +179,7 @@ def main() -> None:
     parts = (_solve_records(), _step_records(), _float_solve_records(), _float_step_records())
     print(f"records {_digest(*parts)}")
     print(f"orbits {_digest(_orbit_records())}")
+    print(f"walks {_digest(_walk_records())}")
 
 
 if __name__ == "__main__":
