@@ -33,6 +33,7 @@ from .rotor import (
     SolveReason,
     SolveReport,
     _walk_int,
+    _whole,
     rotor_solve_int,
     rotor_solve_real,
 )
@@ -120,8 +121,10 @@ def generate_instance(p: int, rng_seed: int) -> GeneratedInstance:
     x is uniform in [2, p-1] and k uniform in [1, p-1].  For composite p a
     non-unit x can give x^k = 0, which is not a valid target; such draws are
     rejected and redrawn from the same stream (x = p-1 always terminates
-    the loop).
+    the loop).  p and rng_seed must be whole numbers (what
+    ``operator.index`` takes).
     """
+    p, rng_seed = _whole(p, "p"), _whole(rng_seed, "rng_seed")
     if p < 3:
         raise ValueError(f"instance generation requires p >= 3, got {p}")
     rng = random.Random(rng_seed)
@@ -184,7 +187,11 @@ def solve(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of one measurement sweep over a modulus range."""
+    """Configuration of one measurement sweep over a modulus range.
+
+    p_min, p_max, samples_per_p and seed must be whole numbers (what
+    ``operator.index`` takes) and are stored as ints.
+    """
 
     p_min: int
     p_max: int
@@ -196,6 +203,8 @@ class SweepConfig:
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("p_min", "p_max", "samples_per_p", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if not 2 <= self.p_min <= self.p_max:
             raise ValueError(
                 f"p_min must lie in [2, p_max], got p_min={self.p_min}, p_max={self.p_max}"
@@ -389,21 +398,21 @@ def precision_scan(
     for p, records in groupby(_sweep_records(cfg), key=lambda r: r.p):
         # islice stops at p's last sample; ending the group would generate p+1's first.
         # k_true is never None (y = x^k, k >= 1), so `not correct` is a wrong/missing k.
-        failures = sum(not r.correct for r in islice(records, samples_per_p))
-        buckets.append(ScanBucket(p, samples_per_p, failures))
+        failures = sum(not r.correct for r in islice(records, cfg.samples_per_p))
+        buckets.append(ScanBucket(p, cfg.samples_per_p, failures))
         if failures and stop_at_first_failure:
-            stopped_early = p < p_max
+            stopped_early = p < cfg.p_max
             break
     return ScanReport(
         mode=mode,
         tolerance=tolerance,
         p_min=cfg.p_min,
-        p_max=p_max,
-        samples_per_p=samples_per_p,
-        seed=seed,
+        p_max=cfg.p_max,
+        samples_per_p=cfg.samples_per_p,
+        seed=cfg.seed,
         first_failure_p=next((b.p for b in buckets if b.failures), None),
         buckets=tuple(buckets),
-        total_instances=samples_per_p * len(buckets),
+        total_instances=cfg.samples_per_p * len(buckets),
         total_failures=sum(b.failures for b in buckets),
         stopped_early=stopped_early,
     )

@@ -12,11 +12,14 @@ per arithmetic family:
   operation, so a step is one multiplication (the repeated addition) and
   one ``%`` (the wrap loop), with identical results.  The subtraction
   count comes once per walk from the sum of the walked values, identical
-  to the literal loops' tally.  A wide walk (wrap of at least one 30-bit
-  CPython int digit, as in fixed point from 22 bits up) runs the same loops
-  on float64 carriers when every value, product and running sum is an
-  integer below 2**53, where float ``*``, ``%``, ``+`` and comparisons are
-  exact; the results are the same ints.  A narrow walk (wrap below 2**30)
+  to the literal loops' tally.  One loop takes point hits, interval hits
+  and verify's trails alike: most steps of long walks run in numpy blocks
+  (below), so a loop of its own for the cheaper equality test gains
+  little.  A wide walk (wrap of at least one 30-bit CPython int digit, as
+  in fixed point from 22 bits up) runs the same loop on float64 carriers
+  when every value, product and running sum is an integer below 2**53,
+  where float ``*``, ``%``, ``+`` and comparisons are exact; the results
+  are the same ints.  A narrow walk (wrap below 2**30)
   with a bound above 1,088 steps that is still running after a head of 64
   steps goes on in numpy blocks: the value t = i * 32 + r + 1 steps on is
   one entry of the product table of giant steps acc * x**(32 i) by baby
@@ -181,10 +184,11 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # subtraction count (0 without a wrap).  Summed over the walk,
     # x * (a[0] + ... + a[n-1]) = wrap * sum(m) + (a[1] + ... + a[n]), so the
     # loop keeps only the running sum `total` of a[1..n], and sum(m) is one
-    # exact division at the end.  Equality is the cheaper test, so lo == hi
-    # (the integer field and every single step) gets its own loop; a list
-    # `trail` takes a third, which also appends each value (verify's orbits).
-    # Wide walks run the same loops on float64 carriers.  Every integer of
+    # exact division at the end.  One loop serves every walk: a point hit
+    # (the integer field, every single step) is lo == hi, and a list `trail`
+    # also gets each value (verify's orbits).  A separate equality loop saves
+    # little since most steps of long walks run in blocks.
+    # Wide walks run the same loop on float64 carriers.  Every integer of
     # magnitude below 2**53 is a float64, and `*`, `%`, `+` and comparisons
     # on such integers, with an integer result of that size, are exact
     # (Goldberg, 1991).  The guard bounds every operand and result: x >= 0
@@ -231,43 +235,19 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
         x, acc, lo, hi, wrap = float(x), float(acc), float(lo), float(hi), float(wrap)
     first, total = acc, 0
     steps, reason = max_steps, SolveReason.EXHAUSTED_ITERATIONS
-    if trail is not None:
-        for steps in range(1, max_steps + 1):
-            acc *= x
-            if acc > wrap:
-                acc = acc % wrap or wrap
-            total += acc
+    for steps in range(1, head + 1):
+        acc *= x
+        if acc > wrap:
+            acc = acc % wrap or wrap
+        total += acc
+        if trail is not None:
             trail.append(acc)
-            if lo <= acc <= hi:
-                reason = SolveReason.FOUND
-                break
-            if acc == first:
-                reason = SolveReason.CYCLE_DETECTED
-                break
-    elif lo == hi:
-        for steps in range(1, head + 1):
-            acc *= x
-            if acc > wrap:
-                acc = acc % wrap or wrap
-            total += acc
-            if acc == lo:
-                reason = SolveReason.FOUND
-                break
-            if acc == first:
-                reason = SolveReason.CYCLE_DETECTED
-                break
-    else:
-        for steps in range(1, head + 1):
-            acc *= x
-            if acc > wrap:
-                acc = acc % wrap or wrap
-            total += acc
-            if lo <= acc <= hi:
-                reason = SolveReason.FOUND
-                break
-            if acc == first:
-                reason = SolveReason.CYCLE_DETECTED
-                break
+        if lo <= acc <= hi:
+            reason = SolveReason.FOUND
+            break
+        if acc == first:
+            reason = SolveReason.CYCLE_DETECTED
+            break
     if head < max_steps and reason is SolveReason.EXHAUSTED_ITERATIONS:
         acc, steps, more, reason = _orbit_blocks(x, acc, first, lo, hi, wrap, head, max_steps)
         total += more

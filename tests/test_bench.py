@@ -3,7 +3,9 @@
 import json
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from arcrotor import bench
@@ -89,6 +91,14 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(2, 0)
 
+    def test_numpy_int_inputs_match_int_inputs(self):
+        assert generate_instance(np.int64(101), np.int64(5)) == generate_instance(101, 5)
+
+    @pytest.mark.parametrize("p,rng_seed,name", [(101.0, 5, "p"), (101, 5.0, "rng_seed")])
+    def test_rejects_non_whole_inputs(self, p, rng_seed, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+            generate_instance(p, rng_seed)
+
     def test_least_k_never_exceeds_generating_k(self):
         for seed in range(100):
             gen = generate_instance(101, seed)
@@ -107,6 +117,27 @@ class TestLeastK:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("seed", [5, 2**62])
+    def test_numpy_int_config_matches_int_config(self, seed):
+        cfg = SweepConfig(np.int64(100), np.int64(110), np.int64(2), np.int64(seed))
+        assert [type(v) for v in (cfg.p_min, cfg.p_max, cfg.samples_per_p, cfg.seed)] == [int] * 4
+        numpy_records = [replace(r, wall_ns=0) for r in run_sweep(cfg)]
+        int_records = [replace(r, wall_ns=0) for r in run_sweep(SweepConfig(100, 110, 2, seed))]
+        assert numpy_records == int_records
+
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ((3.5, 10, 1, 1), "p_min"),
+            ((5, 10.0, 1, 1), "p_max"),
+            ((5, 10, 2.0, 1), "samples_per_p"),
+            ((5, 10, 2, 1.0), "seed"),
+        ],
+    )
+    def test_float_fields_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+            SweepConfig(*fields)
+
     def test_range_of_one(self):
         cfg = SweepConfig(p_min=5, p_max=5, samples_per_p=1, seed=42)
         records = run_sweep(cfg)
@@ -267,6 +298,13 @@ class TestPrecisionScan:
         assert len(full.buckets) == 60 - 3 + 1
         assert len(partial.buckets) == partial.first_failure_p - 3 + 1
         assert partial.stopped_early
+
+    def test_numpy_int_arguments_match_int_arguments(self):
+        mode = fixed_point(8)
+        got = precision_scan(mode, None, np.int64(60), np.int64(2), np.int64(2**62), np.int64(3))
+        assert got == precision_scan(mode, None, 60, 2, 2**62, 3)
+        fields = (got.p_min, got.p_max, got.samples_per_p, got.seed, got.total_instances)
+        assert [type(v) for v in fields] == [int] * 5
 
     def test_exact_mode_rejected(self):
         with pytest.raises(ValueError):

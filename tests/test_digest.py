@@ -1,0 +1,34 @@
+"""The fast lines of ``tools/solve_digest.py``, pinned.
+
+Both hash the integer kernel's own loop: the ``orbits`` line verify's
+trails, the ``walks`` line walks whose hits and ends fall on each side of
+the 64-step head and of the numpy block edges.  The ``records`` line takes
+over a minute and stays a manual check (``python tools/solve_digest.py``).
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
+
+
+@pytest.fixture(scope="module")
+def solve_digest():
+    spec = importlib.util.spec_from_file_location("solve_digest", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_orbits_line(solve_digest):
+    assert solve_digest._digest(solve_digest._orbit_records()) == (
+        "3741 sha256 949254d903d468d1067dad89652adb18de16709e981a36083ef86d34ced6e015"
+    )
+
+
+def test_walks_line(solve_digest):
+    assert solve_digest._digest(solve_digest._walk_records()) == (
+        "4000 sha256 0259a4f04103b2154c3e2deab69623a54d0d20e30a1a528c19d7009cfd608f7c"
+    )

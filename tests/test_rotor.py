@@ -513,10 +513,10 @@ class TestOrbit:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_orbit_matches_literal_steps(self, data):
-        # a walk with a trail returns what the walk without one returns, and
-        # the trail is its successive literal add-and-subtract steps, ending
-        # at the hit, right after the first return to start, or after
-        # max_steps values
+        # a walk with a trail returns what the walk without one returns, which
+        # is the product walk's, and the trail is its successive literal
+        # add-and-subtract steps, ending at the hit, right after the first
+        # return to start, or after max_steps values
         wrap = data.draw(st.integers(2, 300), label="wrap")
         x = data.draw(st.integers(1, wrap - 1), label="x")
         acc = data.draw(st.integers(1, 2 * wrap), label="acc")
@@ -526,7 +526,7 @@ class TestOrbit:
         trail = []
         got = _walk_int(x, acc, lo, hi, wrap, max_steps, trail)
         plain = _walk_int(x, acc, lo, hi, wrap, max_steps)
-        assert got == plain
+        assert got == plain == _product_walk(x, acc, lo, hi, wrap, max_steps)
         assert [type(v) for v in got] == [type(v) for v in plain]
         expected = []
         value = acc
@@ -618,8 +618,8 @@ class TestWideWalk:
 
     @pytest.mark.parametrize("wrap,carried", [(10**6 + 3, False), (2**40 + 15, True)])
     def test_point_and_empty_hit_intervals(self, float_calls, wrap, carried):
-        # lo == hi takes the equality loop and hits on that value; lo > hi
-        # never hits, even with both ends on values the walk reaches
+        # a point interval lo == hi hits on that value; lo > hi never hits,
+        # even with both ends on values the walk reaches
         x, acc, max_steps = 3, 5, 60
         miss = _literal_walk(x, acc, -1, wrap, 0, max_steps)
         assert miss[3] is SolveReason.EXHAUSTED_ITERATIONS
