@@ -19,11 +19,13 @@ per arithmetic family:
   in fixed point from 22 bits up) runs the same loop on float64 carriers
   when every value, product and running sum is an integer below 2**53,
   where float ``*``, ``%``, ``+`` and comparisons are exact; the results
-  are the same ints.  A narrow walk (wrap below 2**30)
-  with a bound above 1,088 steps that is still running after a head of 64
-  steps goes on in numpy blocks: the value t = i * 32 + r + 1 steps on is
-  one entry of the product table of giant steps acc * x**(32 i) by baby
-  steps x**(r + 1), mod the wrap, exact in int64.
+  are the same ints.  A walk with a bound above 1,088 steps (320 for a
+  wide wrap below 2**48) that is still running after a head of 64 steps
+  goes on in numpy blocks: the value t = i * 32 + r + 1 steps on is one
+  entry of the product table of giant steps acc * x**(32 i) by baby steps
+  x**(r + 1), mod the wrap, in int64.  A wide product can pass 2**63, so its
+  quotient by the wrap comes from float64, within one of the true floor,
+  and the remainder that int64 keeps mod 2**64 is exact.
 * ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
   per-operation rounding is precisely what a precision scan measures, so
   its result is identical to the literal loops' (value, bit for bit, and
@@ -172,6 +174,13 @@ _BLOCK_HEAD = 64
 _ORBIT_ROW = 32
 _BLOCK_VALUES = 2**15
 _BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2
+# A wide loop step on float64 carriers costs about twice a narrow one, so
+# wide walks gain from blocks at shorter bounds: entered above 320 steps,
+# the fixed:32 scan's walks replayed in 0.60-0.65 of the loop's time, above
+# 1,088 steps in 0.83-0.90 (only 316 of its 3,251 walks have such a bound).
+_WIDE_BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2 // 4
+# Values of a block stay below _BLOCK_WRAP, so its int64 sum is exact.
+_BLOCK_WRAP = 2**63 // _BLOCK_VALUES
 
 
 def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, trail=None):
@@ -198,12 +207,14 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # most max_steps * wrap; lo and hi are bounded themselves.  Python's
     # float `%` is fmod, always exact, plus a sign fix that non-negative
     # operands never take.  So each float operation equals its int one, and
-    # the values go back to int for the subtraction count, whose product can
-    # pass 2**53.  A trail of a wide walk holds the float carriers.
-    # A walk with max_steps > _BLOCK_MIN_STEPS runs a head of _BLOCK_HEAD
-    # steps on the loop and the rest in _orbit_blocks, when x >= 1,
-    # acc >= 1, 1 <= wrap < _WIDE_WRAP (so the walk is not wide) and no
-    # trail is kept.
+    # the values go back to int for the blocks and for the subtraction
+    # count, whose product can pass 2**53.  A trail of a wide walk holds the
+    # float carriers.
+    # A walk runs a head of _BLOCK_HEAD steps on the loop and the rest in
+    # _orbit_blocks when x >= 1, acc >= 1, no trail is kept and either
+    # 1 <= wrap < _WIDE_WRAP with max_steps > _BLOCK_MIN_STEPS (narrow) or
+    # _WIDE_WRAP <= wrap < _BLOCK_WRAP with max_steps > _WIDE_BLOCK_MIN_STEPS
+    # (wide; carriers go back to int before the blocks).
     # Then every value after the first step lies in [1, wrap]: a product
     # a * x >= 1 is either kept (at most wrap) or wrapped into [1, wrap].
     # On [1, wrap] a step maps a to a * x mod wrap, with 0 mapped to wrap,
@@ -212,16 +223,16 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # g = x**M mod wrap, step t = i * M + r + 1 reaches G[i] * B[r] mod wrap
     # for G[i] = acc * g**i mod wrap: a block is one product table.  Its
     # first value in [lo, hi] or equal to the start is where the loop stops,
-    # a hit when in [lo, hi], as the loop tests the hit first.  Both factors
-    # are below 2**30, so every product is below 2**60, and a block's sum of
-    # at most _BLOCK_VALUES values up to wrap is below 2**45: int64 is exact.
+    # a hit when in [lo, hi], as the loop tests the hit first.  Every value
+    # is below 2**48, so a block's sum of at most _BLOCK_VALUES of them is
+    # below 2**63: int64 is exact.  _orbit_blocks has the product's proof.
     head = max_steps
     if (
-        max_steps > _BLOCK_MIN_STEPS
+        max_steps > (_BLOCK_MIN_STEPS if wrap < _WIDE_WRAP else _WIDE_BLOCK_MIN_STEPS)
         and trail is None
         and x >= 1
         and acc >= 1
-        and 1 <= wrap < _WIDE_WRAP
+        and 1 <= wrap < _BLOCK_WRAP
     ):
         head = _BLOCK_HEAD
     wide = (
@@ -248,27 +259,39 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
         if acc == first:
             reason = SolveReason.CYCLE_DETECTED
             break
+    if wide:
+        x, acc, first, total, wrap = int(x), int(acc), int(first), int(total), int(wrap)
+        lo, hi = int(lo), int(hi)
     if head < max_steps and reason is SolveReason.EXHAUSTED_ITERATIONS:
         acc, steps, more, reason = _orbit_blocks(x, acc, first, lo, hi, wrap, head, max_steps)
         total += more
-    if wide:
-        x, acc, first, total, wrap = int(x), int(acc), int(first), int(total), int(wrap)
     return acc, steps, (x * (first + total - acc) - total) // wrap, reason
 
 
 def _orbit_blocks(
     x: int, acc: int, first: int, lo: int, hi: int, wrap: int, steps: int, max_steps: int
 ):
-    """The rest of a narrow walk at acc in [1, wrap] after ``steps`` steps, in product tables.
+    """The rest of a walk at acc in [1, wrap] after ``steps`` steps, in product tables.
 
     Returns (acc, steps, total, reason), total the sum of the values walked
     here; _walk_int's comment has the proof.
     """
+    # A narrow product G * B is below 2**60, so `% wrap` of the int64 table
+    # is exact.  A wide one (wrap < 2**48) can pass 2**63, and the int64
+    # table holds it only mod 2**64; the quotient q = G * B / wrap comes from
+    # float64 instead.  G and B are integers in [0, wrap], so exact floats
+    # (numpy casts the column), and the float product of G and fl(B / wrap)
+    # has two roundings: it lies within wrap * 2**-52 < 1/16 of q.  Its
+    # floor (the cast truncates a non-negative float) is thus within one of
+    # floor(q), and the remainder r = G * B - floor * wrap lies in
+    # [-wrap, 2 * wrap).  As |r| < 2**63, int64 arithmetic, exact mod 2**64,
+    # gives r itself, and `% wrap` the value.
     baby = np.empty(_ORBIT_ROW, np.int64)
     g = 1
     for r in range(_ORBIT_ROW):
         g = g * x % wrap
         baby[r] = g
+    ratio = baby / wrap if wrap >= _WIDE_WRAP else None
     # clamped into int64: values lie in [1, wrap], so ends and a start
     # outside it change no test
     lo, hi = min(max(lo, 0), wrap + 1), min(max(hi, 0), wrap + 1)
@@ -280,7 +303,11 @@ def _orbit_blocks(
         giant = [acc]
         for _ in range(1, -(-n // _ORBIT_ROW)):
             giant.append(giant[-1] * g % wrap)
-        values = (np.array(giant, np.int64)[:, None] * baby % wrap).ravel()[:n]
+        column = np.array(giant, np.int64)
+        table = np.multiply.outer(column, baby)
+        if ratio is not None:
+            table -= np.multiply.outer(column, ratio).astype(np.int64) * wrap
+        values = (table % wrap).ravel()[:n]
         values[values == 0] = wrap
         stop = ((values >= lo) & (values <= hi)) | (values == first)
         i = int(stop.argmax())
@@ -441,12 +468,19 @@ def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
         theta = 360.0 / p
         return _walk_float, x * theta, y * theta, tolerance, 360.0
     # Fixed point rounds only theta and the tolerance; everything after that
-    # is exact integer arithmetic on raw units.
+    # is exact integer arithmetic on raw units.  Both round in integers: a
+    # float tolerance * scale can overflow, where the tolerance is finite.
     scale = 1 << mode.fractional_bits
-    q, r = divmod(360 * scale, p)  # theta_raw = 360 * scale / p, rounded half to even
-    theta_raw = q + (2 * r > p or (2 * r == p and q & 1))
-    target, tol = y * theta_raw, round(tolerance * scale)
+    theta_raw = _round_half_even(360 * scale, p)
+    n, d = tolerance.as_integer_ratio()
+    target, tol = y * theta_raw, _round_half_even(n * scale, d)
     return _walk_int, x * theta_raw, target - tol, target + tol, 360 * scale
+
+
+def _round_half_even(n: int, d: int) -> int:
+    """n / d for d >= 1, rounded to the nearest int, a tie to the even one."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
 
 
 # ---------------------------------------------------------------------------

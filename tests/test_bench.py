@@ -322,6 +322,16 @@ class TestPrecisionScan:
             with pytest.raises(ValueError, match="^tolerance"):
                 precision_scan(FLOAT64_DEGREES, bad, 10, 1, 1)
 
+    @pytest.mark.parametrize("bits", [32, 112])
+    def test_tolerance_past_the_float_range(self, bits):
+        # 1e300 * 2**bits overflows a float, but the tolerance is finite;
+        # like 1000 degrees it covers the whole wrap
+        mode = fixed_point(bits)
+        report = precision_scan(mode, 1e300, 40, 2, 7, stop_at_first_failure=False)
+        wide = precision_scan(mode, 1000.0, 40, 2, 7, stop_at_first_failure=False)
+        assert report.buckets == wide.buckets
+        assert report.total_instances == 2 * (40 - 3 + 1)
+
 
     def test_stop_mode_solves_no_modulus_past_the_first_failure(self, monkeypatch):
         solved = []

@@ -87,6 +87,18 @@ class TestSolve:
                 assert out == ""
                 assert "--tolerance" in err
 
+    @pytest.mark.parametrize("mode", ["fixed:32", "fixed:112"])
+    def test_tolerance_past_the_float_range(self, capsys, mode):
+        # 1e300 * 2**bits overflows a float; the solve still runs, and the
+        # tolerance covers the whole wrap, so k = 2 is found (exit 0)
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--p", "7", "--x", "3", "--y", "2",
+            "--algo", "rotor-real", "--mode", mode, "--tolerance", "1e300",
+        )
+        assert (code, err) == (0, "")
+        assert parse_stdout(out)["k"] == 2
+
     @pytest.mark.parametrize("algo", ["rotor-int", "naive", "bsgs"])
     def test_mode_and_tolerance_need_rotor_real(self, capsys, algo):
         base = ("solve", "--p", "373", "--x", "13", "--y", "158", "--algo", algo)

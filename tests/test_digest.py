@@ -1,8 +1,9 @@
 """The fast lines of ``tools/solve_digest.py``, pinned.
 
-Both hash the integer kernel's own loop: the ``orbits`` line verify's
+They hash the integer kernel's own loop: the ``orbits`` line verify's
 trails, the ``walks`` line walks whose hits and ends fall on each side of
-the 64-step head and of the numpy block edges.  The ``records`` line takes
+the 64-step head and of the numpy block edges, and the ``wide`` line the
+same for wraps from 2**30 to past 2**48, where blocks stop.  The ``records`` line takes
 over a minute and stays a manual check (``python tools/solve_digest.py``).
 """
 
@@ -31,4 +32,10 @@ def test_orbits_line(solve_digest):
 def test_walks_line(solve_digest):
     assert solve_digest._digest(solve_digest._walk_records()) == (
         "4000 sha256 0259a4f04103b2154c3e2deab69623a54d0d20e30a1a528c19d7009cfd608f7c"
+    )
+
+
+def test_wide_line(solve_digest):
+    assert solve_digest._digest(solve_digest._wide_records()) == (
+        "3000 sha256 102b985b6a1bf871044c83fcfd24cc96e6041f92ccf2cd0f5507417c3d55c72f"
     )

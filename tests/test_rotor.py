@@ -37,7 +37,9 @@ from arcrotor.rotor import (
     _BLOCK_HEAD,
     _BLOCK_MIN_STEPS,
     _BLOCK_VALUES,
+    _BLOCK_WRAP,
     _ORBIT_ROW,
+    _WIDE_BLOCK_MIN_STEPS,
     _arc_setup,
     _hit_interval,
     _orbit_blocks,
@@ -262,6 +264,31 @@ class TestRotorSolveReal:
         _, start, _, _, _ = _arc_setup(DlogInstance(p, 1, 1), fixed_point(bits), 0.0)
         assert start == round(Fraction(360 << bits, p))
         assert type(start) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0.0, 1e30),
+            st.integers(0, 2**20).map(lambda n: n / 2**41),  # ties at 32 bits
+        ),
+        st.sampled_from([8, 9, 32, 40, 112]),
+    )
+    def test_fixed_point_tolerance_rounds_half_to_even(self, tol, bits):
+        # in integers, as round(tol * 2**bits) wherever that float is finite
+        _, _, lo, hi, _ = _arc_setup(DlogInstance(7, 3, 2), fixed_point(bits), tol)
+        assert (hi - lo) // 2 == round(tol * 2**bits)
+        assert type(hi) is int
+
+    @pytest.mark.parametrize("bits", [32, 112])
+    def test_fixed_point_tolerance_past_the_float_range(self, bits):
+        # 1e300 * 2**bits overflows a float; the raw tolerance is still
+        # exact, and it covers the whole wrap, so the first step is a hit
+        inst, mode = DlogInstance(7, 3, 2), fixed_point(bits)
+        _, _, lo, hi, _ = _arc_setup(inst, mode, 1e300)
+        assert (hi - lo) // 2 == int(1e300) << bits
+        report = rotor_solve_real(inst, mode, 1e300)
+        assert (report.k, report.reason) == (2, SolveReason.FOUND)
+        assert report == rotor_solve_real(inst, mode, 1000.0)
 
     def test_fixed_point_precision_dependent(self):
         wide = rotor_solve_real(APPENDIX, fixed_point(32))
@@ -800,7 +827,12 @@ class TestOrbitBlocks:
             (0, G, P, 2000, None, False),
             (G, G, P, 2000, [], False),  # verify's trails stay on the loop
             (G, 5, W30 - 1, 2000, None, True),
-            (G, 5, W30, 2000, None, False),  # wide: float64 carriers
+            (G, 5, W30, 2000, None, True),  # wide: float64 carriers, then blocks
+            # wide walks enter from a shorter bound, up to the int64 sum's wrap
+            (G, 5, W30, _WIDE_BLOCK_MIN_STEPS, None, False),
+            (G, 5, W30, _WIDE_BLOCK_MIN_STEPS + 1, None, True),
+            (G, 5, _BLOCK_WRAP - 1, 2000, None, True),
+            (G, 5, _BLOCK_WRAP, 2000, None, False),
         ],
     )
     def test_which_walks_enter_blocks(self, block_calls, x, acc, wrap, max_steps, trail, entered):
@@ -823,6 +855,74 @@ class TestOrbitBlocks:
         assert got == _product_walk(x, x, 1, 0, wrap, max_steps)
         assert block_calls
         assert peak < 2 * 2**20
+
+
+F32 = 360 << 32  # the fixed:32 wrap, 45 * 2**35
+
+
+class TestWideBlocks:
+    # Wide walks (wraps from 2**30 to below 2**48) with a bound above
+    # _WIDE_BLOCK_MIN_STEPS also run in blocks, whose products can pass
+    # 2**63; each answer must be the loop's.
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_wide_block_walks_match_product_walk(self, data):
+        wrap = data.draw(
+            st.one_of(st.integers(W30, _BLOCK_WRAP - 1), st.integers(22, 39).map(lambda b: 360 << b)),
+            label="wrap",
+        )
+        x = data.draw(st.one_of(st.integers(2, 20), st.integers(2, wrap)), label="x")
+        acc = data.draw(st.integers(1, 3 * wrap), label="acc")
+        max_steps = data.draw(st.integers(_WIDE_BLOCK_MIN_STEPS, 3000), label="max_steps")
+        # a value of the walk past the head, or any value
+        on_walk = st.integers(_BLOCK_HEAD + 1, max_steps).map(
+            lambda s: _product_walk(x, acc, 1, 0, wrap, s)[0]
+        )
+        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
+        tol = data.draw(st.sampled_from([0, -1, 1, wrap // 2000]), label="tol")
+        _checked_block_walk(x, acc, target - tol, target + tol, wrap, max_steps)
+
+    def test_product_on_a_multiple_of_the_wrap(self, block_calls):
+        # 5 * 6**35 is a multiple of F32: the walk parks at the bound in the
+        # head, so each block product is F32 * B or 0, a multiple of the
+        # wrap.  For B = 6**15 the float quotient is just below B, its floor
+        # one low, and the remainder F32 must still read as the bound.
+        acc, steps, subs, reason = _checked_block_walk(6, 5, 1, 0, F32, 2000)
+        assert (acc, steps, reason) == (F32, 2000, SolveReason.EXHAUSTED_ITERATIONS)
+        assert block_calls
+        b = 6**15 % F32
+        assert int(float(F32) * (b / F32)) == b - 1
+
+    @pytest.mark.parametrize("wrap,x", [(F32, 13), (2**48 - 59, 7)])
+    def test_product_one_below_a_multiple_of_the_wrap(self, block_calls, wrap, x):
+        # acc = -x**-164 mod wrap reaches wrap - 1 at step 164, entry 100 of
+        # the first block: G * B = -1 mod wrap, and the float quotient rounds
+        # up to the next integer, so the remainder is -1 before `% wrap`
+        step = _BLOCK_HEAD + 100
+        acc = -pow(x, -step, wrap) % wrap
+        got = _checked_block_walk(x, acc, wrap - 1, wrap - 1, wrap, 2000)
+        assert got[1:4:2] == (step, SolveReason.FOUND)
+        assert block_calls
+        giant = _product_walk(x, acc, 1, 0, wrap, _BLOCK_HEAD)[0] * pow(x, 96, wrap) % wrap
+        baby = x**4 % wrap
+        assert giant * baby % wrap == wrap - 1
+        assert int(float(giant) * (baby / wrap)) == giant * baby // wrap + 1
+        _checked_block_walk(x, acc, 1, 0, wrap, 2000)
+
+    @pytest.mark.parametrize("x,acc", [(2**20 + 7, 5), (3, 2**60 + 1)])
+    def test_int_head_then_blocks(self, float_calls, block_calls, x, acc):
+        # x * wrap or x * acc passes 2**53: no float64 carriers, so the
+        # head runs on ints, and the blocks take over from it
+        _checked_block_walk(x, acc, 1, 0, F32, 2000)
+        assert block_calls and not float_calls
+
+    def test_fixed32_solve_past_the_carrier_guard(self, float_calls, block_calls):
+        # (p - 1) * F32 passes 2**53 from p = 5827 on: an int head, then blocks
+        inst, mode = DlogInstance(5827, 2, 3), fixed_point(32)
+        report = rotor_solve_real(inst, mode)
+        assert (report.k, report.reason, report.counters) == _literal_int_solve(inst, mode, None)
+        assert report.reason is SolveReason.EXHAUSTED_ITERATIONS
+        assert block_calls and not float_calls
 
 
 def _float_fold(acc, x):

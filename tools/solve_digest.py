@@ -31,7 +31,10 @@ the integer-field orbit walk ``_walk_int(x, x, 1, 0, p, p - 1, trail)``,
 the orbit that exhaustive verify reads.  The ``walks`` line hashes the full
 return of 4,000 seeded integer walks with wraps below 2**30, whose hits and
 ends fall on each side of the step counts where the integer kernel moves
-from its loop to numpy blocks and from one block to the next.
+from its loop to numpy blocks and from one block to the next.  The ``wide``
+line does the same for 3,000 seeded walks with wraps from 2**30 to past
+2**48 (fixed-point wraps 360 << b among them), whose hits and ends also fall
+on each side of the shorter bound from which wide walks enter blocks.
 
 Floats are hashed by ``float.hex``, so every bit counts.
 """
@@ -164,6 +167,28 @@ def _walk_records():
         yield _typed(_walk_int(x, acc, target - tol, target + tol, wrap, max_steps))
 
 
+def _wide_records():
+    rng = random.Random(SEED + 4)
+    # as in _walk_records, plus both sides of 320 steps, the bound above
+    # which wide walks enter blocks; wraps near 2**48, where blocks stop
+    edges = (1, 2, 63, 64, 65, 66, 319, 320, 321, 322, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
+    for _ in range(3000):
+        wrap = rng.choice(
+            (
+                360 << rng.randrange(22, 40),
+                2**48 + rng.randrange(-(2**10), 2**10),
+                rng.randrange(2**30, 2**48),
+            )
+        )
+        x = rng.choice((rng.randrange(1, 40), rng.randrange(1, 2 * wrap)))
+        acc = rng.choice((rng.randrange(1, wrap + 1), rng.randrange(0, 3 * wrap + 1)))
+        max_steps = rng.choice(edges + (rng.randrange(0, 4000),))
+        s = rng.choice(edges + (rng.randrange(1, 4000),))
+        target = rng.choice((acc * pow(x, s, wrap) % wrap or wrap, rng.randrange(0, wrap + 1)))
+        tol = rng.choice((0, -1, 1, wrap // 2000))
+        yield _typed(_walk_int(x, acc, target - tol, target + tol, wrap, max_steps))
+
+
 def _digest(*parts) -> str:
     digest = hashlib.sha256()
     count = 0
@@ -180,6 +205,7 @@ def main() -> None:
     print(f"records {_digest(*parts)}")
     print(f"orbits {_digest(_orbit_records())}")
     print(f"walks {_digest(_walk_records())}")
+    print(f"wide {_digest(_wide_records())}")
 
 
 if __name__ == "__main__":
