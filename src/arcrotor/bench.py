@@ -19,21 +19,20 @@ import random
 import statistics
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby, islice
 from math import gcd
 
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, check_tolerance
+from .numerics import EXACT, NumericMode, _whole, check_tolerance
 from .oracles import bsgs_solve, modpow, naive_solve
 from .rotor import (
     DlogInstance,
     SolveReason,
     SolveReport,
     _walk_int,
-    _whole,
     rotor_solve_int,
     rotor_solve_real,
 )
@@ -150,12 +149,12 @@ def _child_seed(seed: int, p: int, index: int) -> int:
 ALGORITHMS = ("bsgs", "naive", "rotor-int", "rotor-real")
 
 
-def check_solver_options(algo: str, mode: NumericMode, tolerance: float | None) -> None:
+def check_solver_options(algo: str, mode: NumericMode, tolerance: float | None) -> float | None:
     """Reject an unknown algo, and a mode or tolerance the algo would ignore.
 
     Only rotor-real reads the mode and the tolerance; the others always
     answer in exact arithmetic.  Each message starts with the name of the
-    offending setting.
+    offending setting.  Returns the tolerance as ``check_tolerance`` does.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"algo {algo!r} is unknown, expected one of {list(ALGORITHMS)}")
@@ -164,7 +163,7 @@ def check_solver_options(algo: str, mode: NumericMode, tolerance: float | None) 
             raise ValueError(f"mode {mode} applies to algo rotor-real only, not {algo}")
         if tolerance is not None:
             raise ValueError(f"tolerance applies to algo rotor-real only, not {algo}")
-    check_tolerance(tolerance)
+    return check_tolerance(tolerance)
 
 
 def solve(
@@ -190,7 +189,8 @@ class SweepConfig:
     """Configuration of one measurement sweep over a modulus range.
 
     p_min, p_max, samples_per_p and seed must be whole numbers (what
-    ``operator.index`` takes) and are stored as ints.
+    ``operator.index`` takes) and are stored as ints; the tolerance is
+    stored as ``check_tolerance`` returns it.
     """
 
     p_min: int
@@ -211,7 +211,8 @@ class SweepConfig:
             )
         if self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")
-        check_solver_options(self.algo, self.mode, self.tolerance)
+        tolerance = check_solver_options(self.algo, self.mode, self.tolerance)
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 @dataclass(frozen=True)
@@ -320,16 +321,16 @@ def fit_complexity(
 
     agg = statistics.mean if aggregate == "mean" else statistics.median
     ns = sorted(groups)
+    ops = [agg(groups[n]) for n in ns]
     log_n = np.log([float(n) for n in ns])
-    log_ops = np.log([float(agg(groups[n])) for n in ns])
+    log_ops = np.log([float(v) for v in ops])
     slope, intercept = np.polyfit(log_n, log_ops, 1)
     predicted = slope * log_n + intercept
     ss_res = float(np.sum((log_ops - predicted) ** 2))
     ss_tot = float(np.sum((log_ops - np.mean(log_ops)) ** 2))
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
+    # Constant ops fit exactly, but the logs' rounding leaves ss_tot and
+    # ss_res at noise, so that case is read off the exact values.
+    r_squared = 1.0 if len(set(ops)) == 1 else 1.0 - ss_res / ss_tot
     return FitResult(float(slope), float(intercept), r_squared, n_definition)
 
 
@@ -405,7 +406,7 @@ def precision_scan(
             break
     return ScanReport(
         mode=mode,
-        tolerance=tolerance,
+        tolerance=cfg.tolerance,
         p_min=cfg.p_min,
         p_max=cfg.p_max,
         samples_per_p=cfg.samples_per_p,
@@ -436,15 +437,6 @@ def record_as_dict(record: SweepRecord) -> dict:
         "outer_steps": record.counters.outer_steps,
         "wall_ns": record.wall_ns,
         "correct": record.correct,
-    }
-
-
-def fit_as_dict(fit: FitResult) -> dict:
-    return {
-        "exponent": fit.exponent,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_definition": fit.n_definition,
     }
 
 
@@ -490,7 +482,7 @@ def emit_results(payload, format: str, path) -> None:
         document = rows = map(record_as_dict, payload)
         header = CSV_COLUMNS
     elif isinstance(payload, FitResult):
-        document = fit_as_dict(payload)
+        document = asdict(payload)
         header, rows = tuple(document), [document]
     elif isinstance(payload, ScanReport):
         document = scan_as_dict(payload)

@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 
 from . import bench
 from .bench import (
@@ -21,7 +22,6 @@ from .bench import (
     InsufficientDataError,
     SweepConfig,
     check_solver_options,
-    fit_as_dict,
     scan_as_dict,
 )
 from .numerics import NumericMode, parse_mode
@@ -188,15 +188,8 @@ def _usage_error(exc: ValueError, args: argparse.Namespace) -> CliError:
 
 
 def _solve_payload(report: SolveReport) -> dict:
-    return {
-        "k": report.k,
-        "found": report.found,
-        "reason": report.reason.value,
-        "additions": report.counters.additions,
-        "subtractions": report.counters.subtractions,
-        "comparisons": report.counters.comparisons,
-        "outer_steps": report.counters.outer_steps,
-    }
+    counts = asdict(report.counters)
+    return {"k": report.k, "found": report.found, "reason": report.reason.value, **counts}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -217,15 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"(guard against runaway runs), got {args.p_max}"
         )
     result = bench.verify_equivalence(args.p_max)
-    _emit_json(
-        {
-            "command": "verify",
-            "p_max": result.p_max,
-            "instances": result.instances,
-            "mismatches": result.mismatches,
-            "examples": list(result.examples),
-        }
-    )
+    _emit_json({"command": "verify", **asdict(result)})
     return 0 if result.mismatches == 0 else 1
 
 
@@ -262,7 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fits: dict[str, dict | None] = {}
     for n_def in ("p", "bits_of_p"):
         try:
-            fits[n_def] = fit_as_dict(bench.fit_complexity(fittable, n_def, aggregate))
+            fits[n_def] = asdict(bench.fit_complexity(fittable, n_def, aggregate))
         except InsufficientDataError as exc:
             print(f"note: no fit against n={n_def}: {exc}", file=sys.stderr)
             fits[n_def] = None

@@ -19,7 +19,9 @@ says how close a walk must come to its target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf
+from numbers import Real
+from operator import index
 
 
 class InvalidModulusError(ValueError):
@@ -34,9 +36,21 @@ _FIXED_BITS_MIN = 8
 _FIXED_BITS_MAX = 112
 
 
+def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """value as an int, if it is a whole number (what ``operator.index`` takes)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{name} must be a whole number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NumericMode:
-    """Arithmetic mode tag: ``exact``, ``float64`` or ``fixed`` (with bits)."""
+    """Arithmetic mode tag: ``exact``, ``float64`` or ``fixed`` (with bits).
+
+    The bits must be a whole number (what ``operator.index`` takes) and are
+    stored as an int.
+    """
 
     kind: str
     fractional_bits: int | None = None
@@ -45,12 +59,13 @@ class NumericMode:
         if self.kind not in ("exact", "float64", "fixed"):
             raise ValueError(f"unknown numeric mode kind: {self.kind!r}")
         if self.kind == "fixed":
-            bits = self.fractional_bits
-            if bits is None or not (_FIXED_BITS_MIN <= bits <= _FIXED_BITS_MAX):
+            bits = _whole(self.fractional_bits, "fixed-point fractional bits")
+            if not _FIXED_BITS_MIN <= bits <= _FIXED_BITS_MAX:
                 raise ValueError(
                     f"fixed-point fractional bits must be in "
                     f"[{_FIXED_BITS_MIN}, {_FIXED_BITS_MAX}], got {bits!r}"
                 )
+            object.__setattr__(self, "fractional_bits", bits)
         elif self.fractional_bits is not None:
             raise ValueError(f"mode {self.kind!r} takes no fractional bits")
 
@@ -102,11 +117,28 @@ def default_tolerance(mode: NumericMode, modulus: int) -> float:
     return 180.0 / modulus
 
 
-def check_tolerance(tolerance: float | None) -> None:
-    """Reject a comparison tolerance that is not a finite, non-negative number of degrees.
+def check_tolerance(tolerance: float | None) -> float | None:
+    """A comparison tolerance, checked as a finite, non-negative number of degrees.
 
-    None (use the mode's default) passes.  The message starts with the word
-    ``tolerance`` so a front end can prefix its own flag syntax.
+    None (use the mode's default) passes.  A whole number (what
+    ``operator.index`` takes) comes back as an int, exact at any size;
+    another real number as a float.  Anything else raises ValueError, with a
+    message that starts with the word ``tolerance`` so a front end can
+    prefix its own flag syntax.
     """
-    if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
+    if tolerance is None:
+        return None
+    checked = tolerance
+    if type(tolerance) is not float:
+        try:
+            checked = index(tolerance)
+        except TypeError:
+            if not isinstance(tolerance, Real):
+                raise ValueError(f"tolerance must be a real number, got {tolerance!r}") from None
+            try:
+                checked = float(tolerance)
+            except OverflowError:  # past the float range
+                checked = inf
+    if not 0 <= checked < inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    return checked

@@ -8,39 +8,12 @@ start value, target, wrap bound and tolerance, so the walk is written once
 per arithmetic family:
 
 * ``_walk_int`` serves the integer field (wrap p) and fixed-point mode (raw
-  units, wrap 360 * 2**bits).  Every add/subtract there is an exact integer
-  operation, so a step is one multiplication (the repeated addition) and
-  one ``%`` (the wrap loop), with identical results.  The subtraction
-  count comes once per walk from the sum of the walked values, identical
-  to the literal loops' tally.  One loop takes point hits, interval hits
-  and verify's trails alike: most steps of long walks run in numpy blocks
-  (below), so a loop of its own for the cheaper equality test gains
-  little.  A wide walk (wrap of at least one 30-bit CPython int digit, as
-  in fixed point from 22 bits up) runs the same loop on float64 carriers
-  when every value, product and running sum is an integer below 2**53,
-  where float ``*``, ``%``, ``+`` and comparisons are exact; the results
-  are the same ints.  A walk with a bound above 1,088 steps (320 for a
-  wide wrap below 2**48) that is still running after a head of 64 steps
-  goes on in numpy blocks: the value t = i * 32 + r + 1 steps on is one
-  entry of the product table of giant steps acc * x**(32 i) by baby steps
-  x**(r + 1), mod the wrap, in int64.  A wide product can pass 2**63, so its
-  quotient by the wrap comes from float64, within one of the true floor,
-  and the remainder that int64 keeps mod 2**64 is exact.
-* ``_walk_float`` serves float64 mode (degrees, wrap 360.0).  Its
-  per-operation rounding is precisely what a precision scan measures, so
-  its result is identical to the literal loops' (value, bit for bit, and
-  counts).  A short head runs the literal loops only where a step can
-  round: the x-fold addition is one multiplication when the accumulator's
-  mantissa times x fits in 53 bits, and the wrap is one ``fmod`` when the
-  wrap bound is an integer and the sum is below 2**53.  Once the
-  accumulator is n / D on the grid of the wrap W / D (D a power of two)
-  with x * max(n, W) < 2**53, every later add and subtract is exact, and
-  the rest of the walk is ``_walk_int`` from n with wrap W: the hits are
-  an integer interval, a cycle that misses the walk's start is folded, and
-  the count is the integer fold's.  In a solve the head is usually one or
-  two steps: the first step from x * theta rounds, and after it the
-  accumulator has a short mantissa.
+  units, wrap 360 * 2**bits); its results equal the literal loops'.
+* ``_walk_float`` serves float64 mode (degrees, wrap 360.0); its results
+  equal the literal loops', the value bit for bit, as their rounding is
+  what a precision scan measures.
 
+Each kernel's comment carries the argument that it is exact.
 ``rotor_solve_int``, ``rotor_solve_real``, the single-step driver
 ``rotor_step`` and verify's orbits (``_walk_int``'s trail) are thin views
 over these two kernels; exact arc mode is a view of the integer-field solve.
@@ -66,12 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import fmod, inf, isfinite
-from operator import index
 
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, check_tolerance, default_tolerance
+from .numerics import EXACT, NumericMode, _whole, check_tolerance, default_tolerance
 
 
 class InvalidInstanceError(ValueError):
@@ -525,13 +497,6 @@ def rotor_step(
     return RotorState(acc, state.target, state.exponent + 1)
 
 
-def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise error(f"{name} must be a whole number, got {value!r}") from None
-
-
 def initial_state(inst: DlogInstance) -> RotorState:
     """Integer-field start state: acc = x^1, target = y, exponent = 1."""
     return RotorState(inst.x, inst.y, 1)
@@ -585,7 +550,7 @@ def rotor_solve_real(
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
     if not isinstance(mode, NumericMode):
         raise ValueError(f"expected a NumericMode, got {type(mode).__name__}")
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(tolerance)
     if mode.is_exact:
         # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
         # and y' = y*theta carry numerators x and y, and the 360-degree wrap

@@ -166,6 +166,23 @@ class TestRunSweep:
         ]
         assert strip(run_sweep(cfg)) == strip(run_sweep(cfg))
 
+    def test_unknown_algo_rejected_by_solve(self):
+        with pytest.raises(ValueError, match="^algo 'bogus' is unknown"):
+            bench.solve("bogus", DlogInstance(373, 13, 158))
+
+    @pytest.mark.parametrize(
+        "tolerance,checked",
+        [(np.int64(1), 1), (np.float32(0.5), 0.5), (10**400, 10**400)],
+        ids=["int64", "float32", "past-float-range"],
+    )
+    def test_tolerance_stored_as_checked(self, tolerance, checked):
+        cfg = SweepConfig(
+            p_min=3, p_max=5, samples_per_p=1, seed=1,
+            algo="rotor-real", mode=FLOAT64_DEGREES, tolerance=tolerance,
+        )
+        assert cfg.tolerance == checked
+        assert type(cfg.tolerance) is type(checked)
+
     def test_oracle_algo_records_zero_counters(self):
         cfg = SweepConfig(p_min=5, p_max=20, samples_per_p=1, seed=3, algo="bsgs")
         for r in run_sweep(cfg):
@@ -272,6 +289,21 @@ class TestFitComplexity:
         with pytest.raises(ValueError):
             fit_complexity(planted_records(2, 2, range(10, 90, 10)), "p", aggregate="mode")
 
+    @pytest.mark.parametrize(
+        "ops,ns",
+        [(751_985, [409, 490, 556, 565, 657, 859, 884]), (462_943_231, [409, 490, 556, 565, 657])],
+    )
+    def test_constant_ops_fit_exactly(self, ops, ns):
+        # the logs of equal counts leave ss_tot and ss_res at rounding noise
+        # (-5.857 and 0.0 were reported as r^2 for these two)
+        records = [
+            SweepRecord(p, 2, 1, 1, 1, OpCounters(additions=ops), 0, True) for p in ns * 2
+        ]
+        for aggregate in ("mean", "median"):
+            fit = fit_complexity(records, "p", aggregate)
+            assert fit.r_squared == 1.0
+            assert abs(fit.exponent) <= 1e-9
+
 
 class TestPrecisionScan:
     def test_fixed_eight_bits_fails_early(self):
@@ -321,6 +353,17 @@ class TestPrecisionScan:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="^tolerance"):
                 precision_scan(FLOAT64_DEGREES, bad, 10, 1, 1)
+
+    def test_numpy_float_tolerance_emits_as_json(self, tmp_path):
+        report = precision_scan(
+            FLOAT64_DEGREES, np.float32(0.5), 30, 2, 1, stop_at_first_failure=False
+        )
+        plain = precision_scan(FLOAT64_DEGREES, 0.5, 30, 2, 1, stop_at_first_failure=False)
+        assert report == plain
+        assert type(report.tolerance) is float
+        path = tmp_path / "scan.json"
+        emit_results(report, "json", path)
+        assert json.loads(path.read_text())["tolerance_degrees"] == 0.5
 
     @pytest.mark.parametrize("bits", [32, 112])
     def test_tolerance_past_the_float_range(self, bits):

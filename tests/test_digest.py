@@ -3,8 +3,10 @@
 They hash the integer kernel's own loop: the ``orbits`` line verify's
 trails, the ``walks`` line walks whose hits and ends fall on each side of
 the 64-step head and of the numpy block edges, and the ``wide`` line the
-same for wraps from 2**30 to past 2**48, where blocks stop.  The ``records`` line takes
-over a minute and stays a manual check (``python tools/solve_digest.py``).
+same for wraps from 2**30 to past 2**48, where blocks stop.  The ``cli``
+line hashes what a fixed set of command-line calls print, return and write,
+``wall_ns`` aside.  The ``records`` line takes over a minute and stays a
+manual check (``python tools/solve_digest.py``).
 """
 
 import importlib.util
@@ -38,4 +40,10 @@ def test_walks_line(solve_digest):
 def test_wide_line(solve_digest):
     assert solve_digest._digest(solve_digest._wide_records()) == (
         "3000 sha256 102b985b6a1bf871044c83fcfd24cc96e6041f92ccf2cd0f5507417c3d55c72f"
+    )
+
+
+def test_cli_line(solve_digest):
+    assert solve_digest._digest(solve_digest._cli_records()) == (
+        "22 sha256 b2b002f5d2c1443a3826137614a42f63f5ff980a3a0c8cb7142019aea11ed633"
     )

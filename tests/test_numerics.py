@@ -4,6 +4,9 @@ The strict-> reduction, the tolerance comparison and the projection of the
 start state are exercised through the public single-step driver and solver.
 """
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,22 @@ class TestNumericMode:
             fixed_point(7)
         with pytest.raises(ValueError):
             fixed_point(113)
+
+    def test_numpy_bits_stored_as_int(self):
+        inst = DlogInstance(373, 13, 158)
+        for bits in (32, 64):
+            mode = fixed_point(np.int64(bits))
+            assert mode == fixed_point(bits)
+            assert type(mode.fractional_bits) is int
+            report = rotor_solve_real(inst, mode)
+            assert report == rotor_solve_real(inst, fixed_point(bits))
+            assert report.k == 5
+            assert type(report.counters.subtractions) is int
+
+    @pytest.mark.parametrize("bits", [32.0, 8.5, None, "32"])
+    def test_non_whole_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="^fixed-point fractional bits must be a whole"):
+            fixed_point(bits)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -149,6 +168,33 @@ class TestAnglesEqual:
                 check_tolerance(bad)
         check_tolerance(None)
         check_tolerance(0.0)
+
+    @pytest.mark.parametrize("mode", [FLOAT64_DEGREES, fixed_point(32)])
+    def test_whole_tolerances_solve_as_ints(self, mode):
+        inst = DlogInstance(373, 13, 158)
+        assert rotor_solve_real(inst, mode, np.int64(1)) == rotor_solve_real(inst, mode, 1)
+        # past the float range, as wide as 1e300: k = 2 on the first comparison
+        inst = DlogInstance(7, 3, 2)
+        assert rotor_solve_real(inst, mode, 10**400) == rotor_solve_real(inst, mode, 1e300)
+        assert rotor_solve_real(inst, mode, 10**400).k == 2
+
+    def test_checked_tolerance_types(self):
+        # whole numbers stay exact ints at any size; other reals become floats
+        cases = [(np.int64(1), 1), (10**400, 10**400)]
+        cases += [(t, 0.5) for t in (np.float32(0.5), np.float64(0.5), Fraction(1, 2))]
+        for tolerance, checked in cases:
+            assert check_tolerance(tolerance) == checked
+            assert type(check_tolerance(tolerance)) is type(checked)
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", b"1", 1j, [0.5], -1, np.int64(-1), np.float32(-0.5), Fraction(10**400, 3)],
+        ids=["str", "bytes", "complex", "list", "int", "int64", "float32", "huge-fraction"],
+    )
+    def test_unusable_tolerances_rejected(self, bad):
+        with pytest.raises(ValueError, match="^tolerance"):
+            check_tolerance(bad)
+        with pytest.raises(ValueError, match="^tolerance"):
+            rotor_solve_real(DlogInstance(373, 13, 158), FLOAT64_DEGREES, bad)
 
     def test_fixed_tolerance_in_raw_units(self):
         # 0.999 degrees rounds to 256 raw units, a whole degree, in fixed:8

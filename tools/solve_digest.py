@@ -36,14 +36,26 @@ line does the same for 3,000 seeded walks with wraps from 2**30 to past
 2**48 (fixed-point wraps 360 << b among them), whose hits and ends also fall
 on each side of the shorter bound from which wide walks enter blocks.
 
+The ``cli`` line hashes ``CLI_CALLS``, in-process ``arcrotor.cli.main``
+calls: solve in every algo and mode, verify, sweeps and precision scans in
+CSV and JSON (stop mode and ``--scan-all``), two usage errors and an
+unwritable ``--out``.  Each call runs in a fresh temporary working directory
+with relative output paths, and its record holds the stdout, the stderr, the
+exit code and every file written, with the ``wall_ns`` column or field
+dropped.
+
 Floats are hashed by ``float.hex``, so every bit counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -59,6 +71,7 @@ from arcrotor import (  # noqa: E402
     rotor_solve_real,
     rotor_step,
 )
+from arcrotor import cli  # noqa: E402
 from arcrotor.rotor import _arc_setup, _walk_float, _walk_int  # noqa: E402
 
 MODES = [fixed_point(b) for b in (8, 16, 24, 32, 40)]
@@ -189,6 +202,62 @@ def _wide_records():
         yield _typed(_walk_int(x, acc, target - tol, target + tol, wrap, max_steps))
 
 
+# Output paths are relative: each call runs in its own temporary directory.
+_SOLVE = ("solve", "--p", "373", "--x", "13", "--y", "158")
+_SWEEP = ("sweep", "--p-min", "60", "--p-max", "1100", "--samples", "2")
+_SCAN = ("precision-scan", "--p-max", "150", "--samples", "2")
+CLI_CALLS = (
+    *((*_SOLVE, "--algo", algo) for algo in ("bsgs", "naive", "rotor-int")),
+    *(
+        (*_SOLVE, "--algo", "rotor-real", "--mode", mode)
+        for mode in ("exact", "float64", "fixed:8", "fixed:32")
+    ),
+    *(
+        (*_SOLVE, "--algo", "rotor-real", "--mode", "float64", "--tolerance", t)
+        for t in ("0", "-1")
+    ),
+    ("solve", "--p", "7", "--x", "2", "--y", "3"),
+    ("verify", "--p-max", "40"),
+    (*_SWEEP, "--out", "sweep.csv"),
+    (*_SWEEP, "--median", "--seed", "5", "--out", "sweep.json", "--format", "json"),
+    (*_SWEEP, "--algo", "rotor-real", "--mode", "fixed:16", "--out", "sweep.csv"),
+    (*_SWEEP, "--algo", "naive", "--no-prime-only", "--out", "sweep.json", "--format", "json"),
+    ("sweep", "--p-min", "5", "--p-max", "12", "--samples", "1", "--out", "sweep.csv"),
+    (*_SCAN, "--mode", "fixed:8", "--out", "scan.csv"),
+    (*_SCAN, "--mode", "fixed:8", "--out", "scan.json", "--format", "json"),
+    (*_SCAN, "--mode", "float64", "--scan-all", "--out", "scan.csv"),
+    (*_SCAN, "--mode", "fixed:12", "--scan-all", "--out", "scan.json", "--format", "json"),
+    (*_SCAN, "--mode", "float64", "--samples", "0", "--out", "scan.csv"),
+    (*_SWEEP, "--out", "missing/sweep.csv"),
+)
+
+
+def _without_wall_ns(data: bytes) -> bytes:
+    # wall_ns is the one output that differs between runs: a record CSV's
+    # column, or one line per record in JSON
+    rows = data.split(b"\n")
+    header = rows[0].rstrip(b"\r").split(b",")
+    if b"wall_ns" in header:
+        col = header.index(b"wall_ns")
+        rows = [b",".join(c for i, c in enumerate(r.split(b",")) if i != col) for r in rows]
+    return b"\n".join(r for r in rows if b'"wall_ns":' not in r)
+
+
+def _cli_records():
+    cwd = os.getcwd()
+    for argv in CLI_CALLS:
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                files = [(f.name, _without_wall_ns(f.read_bytes())) for f in Path(tmp).iterdir()]
+            finally:
+                os.chdir(cwd)
+        yield _typed([*argv, code, out.getvalue(), err.getvalue(), *sorted(files)])
+
+
 def _digest(*parts) -> str:
     digest = hashlib.sha256()
     count = 0
@@ -206,6 +275,7 @@ def main() -> None:
     print(f"orbits {_digest(_orbit_records())}")
     print(f"walks {_digest(_walk_records())}")
     print(f"wide {_digest(_wide_records())}")
+    print(f"cli {_digest(_cli_records())}")
 
 
 if __name__ == "__main__":
