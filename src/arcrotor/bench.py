@@ -158,6 +158,8 @@ def check_solver_options(algo: str, mode: NumericMode, tolerance: float | None) 
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"algo {algo!r} is unknown, expected one of {list(ALGORITHMS)}")
+    if not isinstance(mode, NumericMode):
+        raise ValueError(f"mode must be a NumericMode, got {mode!r}")
     if algo != "rotor-real":
         if not mode.is_exact:
             raise ValueError(f"mode {mode} applies to algo rotor-real only, not {algo}")
@@ -387,12 +389,12 @@ def precision_scan(
     nothing past it); pass ``stop_at_first_failure=False`` for a full failure
     census up to p_max.
     """
-    if mode.is_exact:
-        raise ValueError(f"mode must be approximate (float64 or fixed:<bits>), got {mode}")
     cfg = SweepConfig(
         max(p_min, 3), p_max, samples_per_p, seed,
         prime_only=False, algo="rotor-real", mode=mode, tolerance=tolerance,
     )
+    if mode.is_exact:
+        raise ValueError(f"mode must be approximate (float64 or fixed:<bits>), got {mode}")
 
     buckets: list[ScanBucket] = []
     stopped_early = False
@@ -568,8 +570,12 @@ def verify_equivalence(p_max: int) -> EquivalenceResult:
     (x, y) for p <= 30, and above that on the reachable y with the largest
     least k plus the smallest unreachable y, if any.  Every failed check is
     one mismatch.  Returns the instance count (every (p, x, y)), the
-    mismatch count and the first ten mismatches.
+    mismatch count and the first ten mismatches.  p_max must be a whole
+    number of at least 2 and is stored as an int.
     """
+    p_max = _whole(p_max, "p_max")
+    if p_max < 2:
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
     instances = 0
     mismatches = 0
     examples: list[str] = []

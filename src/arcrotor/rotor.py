@@ -180,10 +180,10 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # float `%` is fmod, always exact, plus a sign fix that non-negative
     # operands never take.  So each float operation equals its int one, and
     # the values go back to int for the blocks and for the subtraction
-    # count, whose product can pass 2**53.  A trail of a wide walk holds the
-    # float carriers.
+    # count, whose product can pass 2**53.  A trail holds ints on every path:
+    # the carriers a wide walk appended go back to int with the rest.
     # A walk runs a head of _BLOCK_HEAD steps on the loop and the rest in
-    # _orbit_blocks when x >= 1, acc >= 1, no trail is kept and either
+    # _orbit_blocks, which extend the trail, when x >= 1, acc >= 1 and either
     # 1 <= wrap < _WIDE_WRAP with max_steps > _BLOCK_MIN_STEPS (narrow) or
     # _WIDE_WRAP <= wrap < _BLOCK_WRAP with max_steps > _WIDE_BLOCK_MIN_STEPS
     # (wide; carriers go back to int before the blocks).
@@ -201,7 +201,6 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     head = max_steps
     if (
         max_steps > (_BLOCK_MIN_STEPS if wrap < _WIDE_WRAP else _WIDE_BLOCK_MIN_STEPS)
-        and trail is None
         and x >= 1
         and acc >= 1
         and 1 <= wrap < _BLOCK_WRAP
@@ -232,21 +231,22 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
             reason = SolveReason.CYCLE_DETECTED
             break
     if wide:
-        x, acc, first, total, wrap = int(x), int(acc), int(first), int(total), int(wrap)
-        lo, hi = int(lo), int(hi)
+        x, acc, first, total, wrap, lo, hi = map(int, (x, acc, first, total, wrap, lo, hi))
+        if trail is not None:  # the loop appended `steps` carriers
+            trail[len(trail) - steps :] = map(int, trail[len(trail) - steps :])
     if head < max_steps and reason is SolveReason.EXHAUSTED_ITERATIONS:
-        acc, steps, more, reason = _orbit_blocks(x, acc, first, lo, hi, wrap, head, max_steps)
+        acc, steps, more, reason = _orbit_blocks(x, acc, first, lo, hi, wrap, max_steps, trail)
         total += more
     return acc, steps, (x * (first + total - acc) - total) // wrap, reason
 
 
 def _orbit_blocks(
-    x: int, acc: int, first: int, lo: int, hi: int, wrap: int, steps: int, max_steps: int
+    x: int, acc: int, first: int, lo: int, hi: int, wrap: int, max_steps: int, trail
 ):
-    """The rest of a walk at acc in [1, wrap] after ``steps`` steps, in product tables.
+    """The rest of a walk at acc in [1, wrap] after its _BLOCK_HEAD-step head, in product tables.
 
     Returns (acc, steps, total, reason), total the sum of the values walked
-    here; _walk_int's comment has the proof.
+    here, which a list ``trail`` gets as ints; _walk_int has the proof.
     """
     # A narrow product G * B is below 2**60, so `% wrap` of the int64 table
     # is exact.  A wide one (wrap < 2**48) can pass 2**63, and the int64
@@ -269,7 +269,7 @@ def _orbit_blocks(
     lo, hi = min(max(lo, 0), wrap + 1), min(max(hi, 0), wrap + 1)
     if first > wrap:
         first = 0
-    total, rows = 0, _ORBIT_ROW
+    steps, total, rows = _BLOCK_HEAD, 0, _ORBIT_ROW
     while steps < max_steps:
         n = min(rows * _ORBIT_ROW, max_steps - steps)
         giant = [acc]
@@ -282,14 +282,15 @@ def _orbit_blocks(
         values = (table % wrap).ravel()[:n]
         values[values == 0] = wrap
         stop = ((values >= lo) & (values <= hi)) | (values == first)
-        i = int(stop.argmax())
+        i = int(stop.argmax()) if stop.any() else n - 1  # n - 1: a full block
+        if trail is not None:
+            trail.extend(values[: i + 1].tolist())
+        total += int(values[: i + 1].sum())
+        acc = int(values[i])
+        steps += i + 1
         if stop[i]:
-            acc = int(values[i])
             reason = SolveReason.FOUND if lo <= acc <= hi else SolveReason.CYCLE_DETECTED
-            return acc, steps + i + 1, total + int(values[: i + 1].sum()), reason
-        total += int(values.sum())
-        acc = int(values[-1])
-        steps += n
+            return acc, steps, total, reason
         rows = min(2 * rows, _BLOCK_VALUES // _ORBIT_ROW)
     return acc, steps, total, SolveReason.EXHAUSTED_ITERATIONS
 

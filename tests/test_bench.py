@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -189,6 +189,15 @@ class TestRunSweep:
             assert r.correct
             assert r.counters.total_arithmetic == 0
 
+    @pytest.mark.parametrize("algo", ["rotor-real", "rotor-int", "bsgs"])
+    def test_mode_not_a_numeric_mode_rejected(self, algo):
+        # a mode name is not a mode: it would fail at the first solve, or
+        # with an untyped AttributeError
+        with pytest.raises(ValueError, match="^mode must be a NumericMode, got 'float64'"):
+            SweepConfig(10, 12, 1, 1, algo=algo, mode="float64")
+        with pytest.raises(ValueError, match="^mode"):
+            bench.check_solver_options(algo, None, None)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(p_min=10, p_max=5, samples_per_p=1, seed=1)
@@ -341,6 +350,10 @@ class TestPrecisionScan:
     def test_exact_mode_rejected(self):
         with pytest.raises(ValueError):
             precision_scan(EXACT, None, 100, 1, 1)
+
+    def test_mode_not_a_numeric_mode_rejected(self):
+        with pytest.raises(ValueError, match="^mode must be a NumericMode"):
+            precision_scan("float64", None, 20, 1, 1)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
@@ -601,6 +614,23 @@ class TestVerifyEquivalence:
         assert result.instances == sum((p - 1) ** 2 for p in range(2, 13))
         assert result.mismatches == 1
         assert result.examples == (f"{label} p=7 x=3 y=6: got 4, oracle 3",)
+
+    def test_whole_p_max_stored_as_int(self):
+        got = verify_equivalence(np.int64(12))
+        assert got == verify_equivalence(12)
+        assert type(got.p_max) is int
+        assert json.loads(json.dumps(asdict(got)))["p_max"] == 12
+
+    @pytest.mark.parametrize("bad", [12.0, "12", None])
+    def test_non_whole_p_max_rejected(self, bad):
+        with pytest.raises(ValueError, match="^p_max must be a whole number"):
+            verify_equivalence(bad)
+
+    @pytest.mark.parametrize("bad", [1, 0, -3])
+    def test_p_max_below_two_rejected(self, bad):
+        # no modulus below 2 has an instance: a run over none checks nothing
+        with pytest.raises(ValueError, match=f"^p_max must be >= 2, got {bad}$"):
+            verify_equivalence(bad)
 
     def test_power_scan_stops_at_zero(self):
         # 2 is nilpotent mod 2**40: its powers 1, 2, ..., 2**39 then 0 for good

@@ -583,6 +583,116 @@ class TestOrbit:
                 for y in range(1, p):
                     assert ks.get(y) == rotor_solve_int(DlogInstance(p, x, y)).k, (p, x, y)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_trail_matches_product_steps_across_the_block_entry(self, data):
+        # bounds on both sides of where walks enter blocks, for narrow wraps
+        # and for wide ones (float64 carriers in the head): a walk with a
+        # trail returns what the walk without one returns, and the trail is
+        # the product walk's successive values, each an int
+        wide = data.draw(st.booleans(), label="wide")
+        if wide:
+            wrap = data.draw(st.integers(W30, _BLOCK_WRAP - 1), label="wrap")
+            edge = _WIDE_BLOCK_MIN_STEPS
+        else:
+            wrap = data.draw(st.one_of(st.integers(2, 5000), st.integers(2, W30 - 1)), label="wrap")
+            edge = _BLOCK_MIN_STEPS
+        max_steps = data.draw(st.integers(edge - 200, edge + 1500), label="max_steps")
+        x = data.draw(st.one_of(st.integers(1, 20), st.integers(1, wrap - 1)), label="x")
+        acc = data.draw(st.integers(1, 2 * wrap), label="acc")
+        # a value of the walk past the head, or any value
+        on_walk = st.integers(_BLOCK_HEAD + 1, max_steps).map(
+            lambda s: _product_walk(x, acc, 1, 0, wrap, s)[0]
+        )
+        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
+        tol = data.draw(st.sampled_from([0, -1, 1, wrap // 2000]), label="tol")
+        lo, hi = target - tol, target + tol
+        trail = []
+        got = _walk_int(x, acc, lo, hi, wrap, max_steps, trail)
+        assert got == _walk_int(x, acc, lo, hi, wrap, max_steps)
+        assert got == _product_walk(x, acc, lo, hi, wrap, max_steps)
+        expected = []
+        value = acc
+        while len(expected) < max_steps:
+            value *= x
+            if value > wrap:
+                value = value % wrap or wrap
+            expected.append(value)
+            if lo <= value <= hi or value == acc:
+                break
+        assert trail == expected
+        assert all(type(v) is int for v in trail)
+
+    def test_orbits_above_the_block_entry_match_a_power_table(self, block_calls, monkeypatch):
+        # every p in [1090, 1100], composites included: the orbit walk's
+        # bound p - 1 passes _BLOCK_MIN_STEPS, so a walk that passes the head
+        # runs in blocks and fills its trail there
+        assert 1090 - 1 > _BLOCK_MIN_STEPS
+        walks = _record_walks(monkeypatch)
+        entered = sum(_check_orbit_window(p, block_calls, walks) for p in range(1090, 1101))
+        assert entered == 7463  # of the window's 12,034 walks
+
+
+def _power_table(p):
+    """x**k mod p for x in [1, p) (row x - 1) and k in [1, p] (column k - 1), no rotor code."""
+    xs = np.arange(1, p, dtype=np.int64)
+    table = np.empty((p, p - 1), np.int64)
+    table[0] = xs
+    for k in range(1, p):
+        table[k] = table[k - 1] * xs % p
+    return table.T.copy()
+
+
+def _record_walks(monkeypatch):
+    """The (arguments, return, trail) of each walk that ``bench._rotor_ks`` makes."""
+    walks = []
+
+    def recorded(*args):
+        got = _walk_int(*args)
+        walks.append((args[:6], got, list(args[6])))
+        return got
+
+    monkeypatch.setattr("arcrotor.bench._walk_int", recorded)
+    return walks
+
+
+def _check_orbit_window(p, block_calls, walks):
+    """Check every orbit of x mod p against ``_power_table``; returns the walks that ran in blocks.
+
+    ``bench._rotor_ks(p, x)`` walks from x^1 = x with no hit.  Its value at
+    step s is x**(s + 1) mod p, 0 read as p (the strict > wrap parks it at
+    the bound), and it stops at the first return to x or after p - 1
+    steps.  Step s subtracts (x * a[s-1] - a[s]) / p times.  The k of each
+    y in [1, p) is y's first power, y = 1 at k = 0.
+    """
+    table = _power_table(p)
+    xs = table[:, :1]
+    values = np.where(table == 0, p, table)
+    subs = np.cumsum((xs * values[:, :-1] - values[:, 1:]) // p, axis=1)  # [x - 1, s - 1]
+    back = values[:, 1:] == xs  # [x - 1, s - 1]: back at x at step s
+    stops = np.where(back.any(axis=1), back.argmax(axis=1) + 1, p - 1).tolist()
+    rows = np.arange(p - 1)
+    least = np.full((p - 1, p), -1, np.int64)  # [x - 1, y]: y's first power of x
+    for k in range(p, 0, -1):
+        least[rows, table[:, k - 1]] = k
+    least[:, 1] = 0
+    entered = 0
+    for x, s in enumerate(stops, 1):
+        calls = len(block_calls)
+        ks = _rotor_ks(p, x)
+        got = np.full(p, -1, np.int64)
+        got[list(ks)] = list(ks.values())
+        assert np.array_equal(got[1:], least[x - 1, 1:]), (p, x)  # y = 0 is no target
+        args, walk, trail = walks.pop()
+        assert args == (x, x, 1, 0, p, p - 1)
+        cycle = back[x - 1, s - 1]
+        reason = SolveReason.CYCLE_DETECTED if cycle else SolveReason.EXHAUSTED_ITERATIONS
+        assert walk == (int(values[x - 1, s]), s, int(subs[x - 1, s - 1]), reason), (p, x)
+        assert trail == values[x - 1, 1 : s + 1].tolist(), (p, x)
+        assert (len(block_calls) > calls) == (s > _BLOCK_HEAD), (p, x)
+        entered += s > _BLOCK_HEAD
+    return entered
+
 
 W30 = 2**30  # one CPython int digit: the narrowest wrap carried as float64
 E53 = 2**53  # the float64 carrier's exact range
@@ -825,7 +935,7 @@ class TestOrbitBlocks:
             (G, -5, P, 2000, None, False),  # a negative value never wraps
             (-G, G, P, 2000, None, False),
             (0, G, P, 2000, None, False),
-            (G, G, P, 2000, [], False),  # verify's trails stay on the loop
+            (G, G, P, 2000, [], True),  # a trail takes the walk's own path
             (G, 5, W30 - 1, 2000, None, True),
             (G, 5, W30, 2000, None, True),  # wide: float64 carriers, then blocks
             # wide walks enter from a shorter bound, up to the int64 sum's wrap

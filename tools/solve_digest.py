@@ -28,7 +28,9 @@ turns into a float changes the digest.
 The ``records`` line hashes these.  The ``orbits`` line hashes, for each
 distinct (p, x) of the instances above, the trail and the full return of
 the integer-field orbit walk ``_walk_int(x, x, 1, 0, p, p - 1, trail)``,
-the orbit that exhaustive verify reads.  The ``walks`` line hashes the full
+the orbit that exhaustive verify reads; the walks with p above 1,089 that
+pass the 64-step head, 1,217 of the 3,741, fill their trails in numpy
+blocks.  The ``walks`` line hashes the full
 return of 4,000 seeded integer walks with wraps below 2**30, whose hits and
 ends fall on each side of the step counts where the integer kernel moves
 from its loop to numpy blocks and from one block to the next.  The ``wide``
