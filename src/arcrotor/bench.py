@@ -26,7 +26,7 @@ from math import gcd
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, _whole, check_tolerance
+from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance
 from .oracles import bsgs_solve, modpow, naive_solve
 from .rotor import (
     DlogInstance,
@@ -158,8 +158,7 @@ def check_solver_options(algo: str, mode: NumericMode, tolerance: float | None) 
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"algo {algo!r} is unknown, expected one of {list(ALGORITHMS)}")
-    if not isinstance(mode, NumericMode):
-        raise ValueError(f"mode must be a NumericMode, got {mode!r}")
+    _check_mode(mode)
     if algo != "rotor-real":
         if not mode.is_exact:
             raise ValueError(f"mode {mode} applies to algo rotor-real only, not {algo}")
@@ -191,8 +190,9 @@ class SweepConfig:
     """Configuration of one measurement sweep over a modulus range.
 
     p_min, p_max, samples_per_p and seed must be whole numbers (what
-    ``operator.index`` takes) and are stored as ints; the tolerance is
-    stored as ``check_tolerance`` returns it.
+    ``operator.index`` takes) and are stored as ints; prime_only must be a
+    bool (numpy's too) and is stored as one; the tolerance is stored as
+    ``check_tolerance`` returns it.
     """
 
     p_min: int
@@ -207,6 +207,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("p_min", "p_max", "samples_per_p", "seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if not isinstance(self.prime_only, (bool, np.bool_)):
+            raise ValueError(f"prime_only must be a bool, got {self.prime_only!r}")
+        object.__setattr__(self, "prime_only", bool(self.prime_only))
         if not 2 <= self.p_min <= self.p_max:
             raise ValueError(
                 f"p_min must lie in [2, p_max], got p_min={self.p_min}, p_max={self.p_max}"

@@ -79,6 +79,12 @@ class NumericMode:
         return self.kind
 
 
+def _check_mode(mode) -> None:
+    """Reject a mode that is not a ``NumericMode`` (a mode name, say), naming the field."""
+    if not isinstance(mode, NumericMode):
+        raise ValueError(f"mode must be a NumericMode, got {mode!r}")
+
+
 EXACT = NumericMode("exact")
 FLOAT64_DEGREES = NumericMode("float64")
 
@@ -110,6 +116,7 @@ def default_tolerance(mode: NumericMode, modulus: int) -> float:
     theta = 360/modulus, so half a lattice step separates neighbours; exact
     mode needs no tolerance at all.
     """
+    _check_mode(mode)
     if modulus < 2:
         raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
     if mode.is_exact:

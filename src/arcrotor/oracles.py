@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .numerics import _whole
 from .rotor import DlogInstance
 
 
@@ -20,7 +21,12 @@ class NotAUnitError(ValueError):
 
 
 def modpow(x: int, k: int, p: int) -> int:
-    """x**k mod p for a modulus p >= 2 and an exponent k >= 0."""
+    """x**k mod p for a modulus p >= 2 and an exponent k >= 0.
+
+    Each argument must be a whole number (what ``operator.index`` takes).
+    """
+    if not type(x) is type(k) is type(p) is int:
+        x, k, p = _whole(x, "x"), _whole(k, "exponent"), _whole(p, "modulus")
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
     if k < 0:

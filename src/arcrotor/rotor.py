@@ -43,7 +43,7 @@ from math import fmod, inf, isfinite
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, _whole, check_tolerance, default_tolerance
+from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance, default_tolerance
 
 
 class InvalidInstanceError(ValueError):
@@ -155,7 +155,9 @@ _WIDE_BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2 // 4
 _BLOCK_WRAP = 2**63 // _BLOCK_VALUES
 
 
-def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, trail=None):
+def _walk_int(
+    x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, trail=None, cycle=None
+):
     # `acc *= x` is the exact fold of x-fold repeated addition, and
     # `acc % wrap or wrap` that of the strict-> subtraction loop: an exact
     # multiple settles at the bound.  The `> wrap` guard leaves a value
@@ -168,7 +170,9 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # exact division at the end.  One loop serves every walk: a point hit
     # (the integer field, every single step) is lo == hi, and a list `trail`
     # also gets each value (verify's orbits).  A separate equality loop saves
-    # little since most steps of long walks run in blocks.
+    # little since most steps of long walks run in blocks.  The walk stops
+    # with CycleDetected on a return to `cycle`, its start when None; the
+    # count's a[0] stays the start either way.
     # Wide walks run the same loop on float64 carriers.  Every integer of
     # magnitude below 2**53 is a float64, and `*`, `%`, `+` and comparisons
     # on such integers, with an integer result of that size, are exact
@@ -176,7 +180,7 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # and acc >= 0 keep the values non-negative; a value is at most
     # max(acc, wrap), and at most wrap after a step, so a product is at most
     # x * max(acc, wrap); the running sum of at most max_steps values is at
-    # most max_steps * wrap; lo and hi are bounded themselves.  Python's
+    # most max_steps * wrap; lo, hi, cycle are bounded themselves.  Python's
     # float `%` is fmod, always exact, plus a sign fix that non-negative
     # operands never take.  So each float operation equals its int one, and
     # the values go back to int for the blocks and for the subtraction
@@ -194,10 +198,12 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
     # wrap.  With B[r] = x**(r + 1) mod wrap for r < M = _ORBIT_ROW and
     # g = x**M mod wrap, step t = i * M + r + 1 reaches G[i] * B[r] mod wrap
     # for G[i] = acc * g**i mod wrap: a block is one product table.  Its
-    # first value in [lo, hi] or equal to the start is where the loop stops,
+    # first value in [lo, hi] or equal to `cycle` is where the loop stops,
     # a hit when in [lo, hi], as the loop tests the hit first.  Every value
     # is below 2**48, so a block's sum of at most _BLOCK_VALUES of them is
     # below 2**63: int64 is exact.  _orbit_blocks has the product's proof.
+    if cycle is None:
+        cycle = acc
     head = max_steps
     if (
         max_steps > (_BLOCK_MIN_STEPS if wrap < _WIDE_WRAP else _WIDE_BLOCK_MIN_STEPS)
@@ -211,11 +217,12 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
         and 0 <= acc
         and 0 <= x * max(acc, wrap) < _EXACT_INT
         and max_steps * wrap < _EXACT_INT
-        and max(abs(lo), abs(hi)) < _EXACT_INT
+        and max(abs(lo), abs(hi), abs(cycle)) < _EXACT_INT
     )
+    start, total = acc, 0
     if wide:
         x, acc, lo, hi, wrap = float(x), float(acc), float(lo), float(hi), float(wrap)
-    first, total = acc, 0
+        cycle = float(cycle)
     steps, reason = max_steps, SolveReason.EXHAUSTED_ITERATIONS
     for steps in range(1, head + 1):
         acc *= x
@@ -227,21 +234,21 @@ def _walk_int(x: int, acc: int, lo: int, hi: int, wrap: int, max_steps: int, tra
         if lo <= acc <= hi:
             reason = SolveReason.FOUND
             break
-        if acc == first:
+        if acc == cycle:
             reason = SolveReason.CYCLE_DETECTED
             break
     if wide:
-        x, acc, first, total, wrap, lo, hi = map(int, (x, acc, first, total, wrap, lo, hi))
+        x, acc, cycle, total, wrap, lo, hi = map(int, (x, acc, cycle, total, wrap, lo, hi))
         if trail is not None:  # the loop appended `steps` carriers
             trail[len(trail) - steps :] = map(int, trail[len(trail) - steps :])
     if head < max_steps and reason is SolveReason.EXHAUSTED_ITERATIONS:
-        acc, steps, more, reason = _orbit_blocks(x, acc, first, lo, hi, wrap, max_steps, trail)
+        acc, steps, more, reason = _orbit_blocks(x, acc, cycle, lo, hi, wrap, max_steps, trail)
         total += more
-    return acc, steps, (x * (first + total - acc) - total) // wrap, reason
+    return acc, steps, (x * (start + total - acc) - total) // wrap, reason
 
 
 def _orbit_blocks(
-    x: int, acc: int, first: int, lo: int, hi: int, wrap: int, max_steps: int, trail
+    x: int, acc: int, cycle: int, lo: int, hi: int, wrap: int, max_steps: int, trail
 ):
     """The rest of a walk at acc in [1, wrap] after its _BLOCK_HEAD-step head, in product tables.
 
@@ -264,11 +271,11 @@ def _orbit_blocks(
         g = g * x % wrap
         baby[r] = g
     ratio = baby / wrap if wrap >= _WIDE_WRAP else None
-    # clamped into int64: values lie in [1, wrap], so ends and a start
-    # outside it change no test
+    # clamped into int64: values lie in [1, wrap], so ends and a cycle
+    # reference outside it change no test
     lo, hi = min(max(lo, 0), wrap + 1), min(max(hi, 0), wrap + 1)
-    if first > wrap:
-        first = 0
+    if cycle > wrap:
+        cycle = 0
     steps, total, rows = _BLOCK_HEAD, 0, _ORBIT_ROW
     while steps < max_steps:
         n = min(rows * _ORBIT_ROW, max_steps - steps)
@@ -281,7 +288,7 @@ def _orbit_blocks(
             table -= np.multiply.outer(column, ratio).astype(np.int64) * wrap
         values = (table % wrap).ravel()[:n]
         values[values == 0] = wrap
-        stop = ((values >= lo) & (values <= hi)) | (values == first)
+        stop = ((values >= lo) & (values <= hi)) | (values == cycle)
         i = int(stop.argmax()) if stop.any() else n - 1  # n - 1: a full block
         if trail is not None:
             trail.extend(values[: i + 1].tolist())
@@ -332,10 +339,8 @@ def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_
     #   After a handoff at a later step, the start is never revisited: a
     #   start in (0, wrap] on the grid 1/D would have passed the guard at
     #   step 0 (its own D and W are no larger), and every value after the
-    #   handoff lies in (0, wrap].  So CycleDetected from _walk_int means the
-    #   orbit from n has period s with no hit in it: the walk runs out its
-    #   steps, divmod(left, s) full periods and one more _walk_int call for
-    #   the remainder, and ends ExhaustedIterations.
+    #   handoff lies in (0, wrap].  So _walk_int tests against 0, which no
+    #   value in [1, W] equals, and runs out the bound as the float walk does.
     # * Counts.  Each exact step subtracts the integer fold's m[j] times, so
     #   the count from _walk_int's running sum is the float walk's.
     fold_wrap = 0 < wrap < _EXACT_INT and wrap == int(wrap)
@@ -351,10 +356,11 @@ def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_
                 D = max(d, wd)
                 scaled, W = n * (D // d), wn * (D // wd)
                 if x * max(scaled, W) < _EXACT_INT:
-                    acc, done, more, reason = _exact_tail(
-                        x, scaled, D, W, target, tol, max_steps - steps + 1, steps == 1
+                    lo, hi = _hit_interval(target, tol, D, W)
+                    n, done, more, reason = _walk_int(
+                        x, scaled, lo, hi, W, max_steps - steps + 1, None, None if steps == 1 else 0
                     )
-                    return acc, steps - 1 + done, subs + more, reason
+                    return n / D, steps - 1 + done, subs + more, reason
             acc *= x
         else:
             total = 0.0
@@ -382,17 +388,6 @@ def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_
         if acc == first:
             return acc, steps, subs, SolveReason.CYCLE_DETECTED
     return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
-
-
-def _exact_tail(x: int, n: int, D: int, W: int, target, tol, left: int, from_start: bool):
-    """The rest of a float walk from n / D on the grid 1/D: the integer walk, as a float walk."""
-    lo, hi = _hit_interval(target, tol, D, W)
-    acc, steps, subs, reason = _walk_int(x, n, lo, hi, W, left)
-    if not from_start and reason is SolveReason.CYCLE_DETECTED:
-        periods, rest = divmod(left, steps)
-        acc, _, more, reason = _walk_int(x, n, lo, hi, W, rest)
-        steps, subs = left, periods * subs + more
-    return acc / D, steps, subs, reason
 
 
 def _hit_interval(target, tol, D: int, W: int):
@@ -510,6 +505,7 @@ def initial_projected_state(inst: DlogInstance, mode: NumericMode = EXACT) -> Ro
     arithmetic, then scale it by the integers x and y (two rounding steps in
     float64, one in fixed point).  Exact mode starts as the integer field.
     """
+    _check_mode(mode)
     if mode.is_exact:
         return initial_state(inst)
     _, start, target, _, _ = _arc_setup(inst, mode, 0.0)
@@ -549,8 +545,7 @@ def rotor_solve_real(
     """
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
-    if not isinstance(mode, NumericMode):
-        raise ValueError(f"expected a NumericMode, got {type(mode).__name__}")
+    _check_mode(mode)
     tolerance = check_tolerance(tolerance)
     if mode.is_exact:
         # Rational-angle semantics: theta carries numerator 1, so x' = x*theta

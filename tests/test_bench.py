@@ -138,6 +138,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
             SweepConfig(*fields)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_prime_only_stored_as_bool(self, flag):
+        cfg = SweepConfig(10, 40, 1, 1, prime_only=flag)
+        assert type(cfg.prime_only) is bool and cfg.prime_only == flag
+        ps = {r.p for r in run_sweep(cfg)}
+        assert ps == ({11, 13, 17, 19, 23, 29, 31, 37} if flag else set(range(10, 41)))
+
+    @pytest.mark.parametrize("bad", ["no", "", 0, 1, None, 1.0, np.int64(1)])
+    def test_non_bool_prime_only_rejected(self, bad):
+        # a truthy string such as "no" kept primes only
+        with pytest.raises(ValueError, match=r"^prime_only must be a bool"):
+            SweepConfig(10, 20, 1, 1, prime_only=bad)
+
     def test_range_of_one(self):
         cfg = SweepConfig(p_min=5, p_max=5, samples_per_p=1, seed=42)
         records = run_sweep(cfg)

@@ -82,6 +82,11 @@ class TestNumericMode:
         with pytest.raises(InvalidModulusError):
             default_tolerance(FLOAT64_DEGREES, 1)
 
+    def test_default_tolerance_of_a_mode_name_rejected(self):
+        # a mode name is not a mode: it raised an untyped AttributeError
+        with pytest.raises(ValueError, match="^mode must be a NumericMode, got 'float64'"):
+            default_tolerance("float64", 7)
+
 
 class TestReduceBySubtraction:
     def test_two_wraps(self):

@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,25 @@ class TestModpow:
             modpow(2, -1, 5)
         with pytest.raises(ValueError):
             modpow(2, 3, 1)
+
+    def test_numpy_ints_taken_as_ints(self):
+        got = modpow(np.int64(3), np.int32(5), np.uint16(7))
+        assert type(got) is int and got == 5
+        assert modpow(np.int64(13), 5, 373) == modpow(13, np.int64(5), 373) == 158
+        assert modpow(2, 64, np.int64(2**62 + 1)) == pow(2, 64, 2**62 + 1)
+
+    @pytest.mark.parametrize(
+        "args,name", [((3.0, 5, 7), "x"), ((3, 5.0, 7), "exponent"), ((3, 5, "7"), "modulus")]
+    )
+    def test_non_whole_arguments_rejected(self, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+            modpow(*args)
+
+    def test_numpy_bounds_checked(self):
+        with pytest.raises(ValueError, match="^exponent"):
+            modpow(2, np.int64(-1), 5)
+        with pytest.raises(ValueError, match="^modulus"):
+            modpow(2, 3, np.int64(1))
 
     @settings(max_examples=300)
     @given(st.integers(0, 10**9), st.integers(0, 10**4), st.integers(2, 10**9))

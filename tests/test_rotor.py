@@ -76,13 +76,16 @@ def _literal_walk(x, first, target, wrap, tol, max_steps):
     return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
 
 
-def _product_walk(x, first, lo, hi, wrap, max_steps):
+def _product_walk(x, first, lo, hi, wrap, max_steps, cycle=None):
     """``_literal_walk`` with hits on [lo, hi], for x or values too large to step through literally.
 
     The x-fold addition is one product, and the subtraction loop of a value
-    v > wrap runs (v - 1) // wrap times.
+    v > wrap runs (v - 1) // wrap times.  A return to ``cycle`` (None: to
+    ``first``) ends the walk with CycleDetected.
     """
     acc = first
+    if cycle is None:
+        cycle = first
     subs = 0
     for step in range(1, max_steps + 1):
         acc *= x
@@ -92,9 +95,19 @@ def _product_walk(x, first, lo, hi, wrap, max_steps):
             subs += m
         if lo <= acc <= hi:
             return acc, step, subs, SolveReason.FOUND
-        if acc == first:
+        if acc == cycle:
             return acc, step, subs, SolveReason.CYCLE_DETECTED
     return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+
+
+def _root(n, t):
+    """The largest r with r**t <= n, for n >= 1."""
+    r = round(n ** (1 / t))
+    while r**t > n:
+        r -= 1
+    while (r + 1) ** t <= n:
+        r += 1
+    return r
 
 
 def _literal_solve(inst, first, target, wrap, tol):
@@ -305,6 +318,13 @@ class TestRotorSolveReal:
     def test_mode_type_checked(self):
         with pytest.raises(ValueError):
             rotor_solve_real(APPENDIX, "exact")
+
+    def test_mode_name_rejected_naming_the_field(self):
+        # the solve raised "expected a NumericMode", and the projected start
+        # an untyped AttributeError; both now say what the sweep config says
+        for call in (rotor_solve_real, initial_projected_state):
+            with pytest.raises(ValueError, match="^mode must be a NumericMode, got 'float64'"):
+                call(APPENDIX, "float64")
 
 
 class TestRotorSolveInt:
@@ -622,6 +642,44 @@ class TestOrbit:
                 break
         assert trail == expected
         assert all(type(v) is int for v in trail)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cycle_reference_on_short_periods(self, data):
+        # x**t = 1 mod wrap = x**t - 1, so every orbit's period divides t;
+        # x = 1 and x = wrap - 1 give periods 1 and 2.  Bounds on both sides
+        # of where narrow and wide walks enter blocks.  cycle = 0 matches no
+        # value in [1, wrap], so a walk that misses runs out its bound, in
+        # blocks past the entry; None is the start; a value of the orbit
+        # stops the walk there.  The walk is the product walk's with that
+        # reference, and its count is still taken from the start.
+        wide = data.draw(st.booleans(), label="wide")
+        if wide:
+            low, high, edge = W30, _BLOCK_WRAP, _WIDE_BLOCK_MIN_STEPS
+        else:
+            low, high, edge = 2, W30, _BLOCK_MIN_STEPS
+        family = data.draw(st.sampled_from(["power", "one", "minus one"]), label="family")
+        if family == "power":
+            t = data.draw(st.integers(2, 12), label="t")
+            x = data.draw(st.integers(max(_root(low, t) + 1, 2), _root(high, t)), label="x")
+            wrap = x**t - 1
+        else:
+            wrap = data.draw(st.integers(max(low, 3), high - 1), label="wrap")
+            x = 1 if family == "one" else wrap - 1
+        acc = data.draw(st.integers(1, 2 * wrap), label="acc")
+        max_steps = data.draw(st.integers(edge - 200, edge + 1500), label="max_steps")
+        on_walk = st.integers(1, 30).map(lambda s: _product_walk(x, acc, 1, 0, wrap, s, 0)[0])
+        cycle = data.draw(
+            st.one_of(st.just(0), st.just(None), on_walk, st.integers(-wrap, 2 * wrap)),
+            label="cycle",
+        )
+        lo = data.draw(st.one_of(on_walk, st.integers(0, wrap + 1)), label="lo")
+        hi = data.draw(st.sampled_from([lo - 1, lo]), label="hi")
+        got = _walk_int(x, acc, lo, hi, wrap, max_steps, None, cycle)
+        assert got == _product_walk(x, acc, lo, hi, wrap, max_steps, cycle)
+        assert [type(v) for v in got[:3]] == [int, int, int]
+        if cycle == 0 and lo > hi:
+            assert got[1:4:2] == (max_steps, SolveReason.EXHAUSTED_ITERATIONS)
 
     def test_orbits_above_the_block_entry_match_a_power_table(self, block_calls, monkeypatch):
         # every p in [1090, 1100], composites included: the orbit walk's
@@ -1075,6 +1133,14 @@ def _checked_float_walk(x, acc, target, wrap, tol, max_steps):
     return got
 
 
+def _short_period_wrap(x):
+    """x**t - 1 for the largest t with x**(t + 1) <= 2**53: x has order t modulo it."""
+    t = 1
+    while x ** (t + 2) <= 2**53:
+        t += 1
+    return x**t - 1
+
+
 def _is_hit(n, target, tol, D):
     return abs(n / D - target) <= tol
 
@@ -1150,6 +1216,51 @@ class TestFloatHandoff:
         n = int(_walk_float(x, 0.9999995, 0.3, 0.0, 1.0, 1)[0] * 2**32)
         _, period, _, reason = _walk_int(x, n, -1, -1, 2**32, 10000)
         assert (period, reason) == (4096, SolveReason.CYCLE_DETECTED)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_later_handoff_to_a_tail_that_returns_to_its_own_start(self, data):
+        # x**t = 1 mod the integral wrap x**t - 1, and x * wrap < 2**53.  A
+        # start in [2**52 / x, 2**53 / x) off the integers rounds onto them
+        # in the first step's additions, so the walk hands off at step 2 to
+        # an integer tail whose orbit returns to the tail's start within t
+        # steps; from x = 32 on the wrap is below 2**48 and a tail past 320
+        # steps runs in blocks.  The float walk's own start is never
+        # revisited: unless it hits, it runs out its bound.
+        x = data.draw(st.integers(2, 100), label="x")
+        wrap = float(_short_period_wrap(x))
+        start = data.draw(
+            st.floats(2**52 / x, 2**53 / x, exclude_max=True).filter(lambda s: s != int(s)),
+            label="start",
+        )
+        on_walk = st.integers(1, 60).map(
+            lambda s: _reference_float_walk(x, start, -1.0, wrap, 0.0, s)[0]
+        )
+        target = data.draw(st.one_of(on_walk, st.floats(-wrap, wrap)), label="target")
+        tol = data.draw(st.sampled_from([0.0, 0.5, 1e3]), label="tol")
+        max_steps = data.draw(st.integers(0, 600), label="max_steps")
+        _checked_float_walk(x, start, target, wrap, tol, max_steps)
+
+    @pytest.mark.parametrize(
+        "x,start,wrap,max_steps",
+        [
+            (2, 2.0**51 + 0.5, 2.0**52 - 1, 300),  # period 52
+            (10, 2.0**52 / 10 + 0.125, 1e14 - 1, 400),  # period 14
+            (97, 2.0**53 / 97 - 0.25, 97.0**6 - 1, 2000),  # period 6, in blocks
+            # x = 1, and the start is too fine for a handoff on the grid of
+            # the wrap 0.1 until the subtraction loop brings it below 0.25
+            (1, 0.25, 0.1, 1200),
+        ],
+    )
+    def test_tail_that_cycles_runs_out_the_bound(self, monkeypatch, x, start, wrap, max_steps):
+        calls = []
+        monkeypatch.setattr("arcrotor.rotor._walk_int", lambda *a: calls.append(a) or _walk_int(*a))
+        got = _checked_float_walk(x, start, -wrap / 2, wrap, 0.0, max_steps)
+        assert got[1:4:2] == (max_steps, SolveReason.EXHAUSTED_ITERATIONS)
+        ((_, n, _, _, W, left, *_),) = calls
+        assert left == max_steps - 1  # handed off at step 2
+        _, period, _, reason = _walk_int(x, n, 1, 0, W, left)
+        assert reason is SolveReason.CYCLE_DETECTED and period < left
 
     @pytest.mark.parametrize(
         "x,acc,target,wrap,tol,max_steps",
