@@ -290,6 +290,12 @@ def _n_value(record: SweepRecord, n_definition: str) -> int:
     return record.x
 
 
+def _mean(values: list[int]) -> float:
+    # statistics.mean's float: int true division rounds correctly, as
+    # float(Fraction) does, without summing Fractions
+    return sum(values) / len(values)
+
+
 def fit_complexity(
     records: list[SweepRecord],
     n_definition: str = "p",
@@ -324,7 +330,7 @@ def fit_complexity(
             f"need >= 4 distinct n values to fit, got {len(groups)} for n={n_definition}"
         )
 
-    agg = statistics.mean if aggregate == "mean" else statistics.median
+    agg = _mean if aggregate == "mean" else statistics.median
     ns = sorted(groups)
     ops = [agg(groups[n]) for n in ns]
     log_n = np.log([float(n) for n in ns])
@@ -463,14 +469,6 @@ def scan_as_dict(report: ScanReport) -> dict:
     }
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def emit_results(payload, format: str, path) -> None:
     """Write sweep records, a fit result, or a scan report to CSV or JSON.
 
@@ -502,7 +500,14 @@ def emit_results(payload, format: str, path) -> None:
             if fmt == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                writer.writerows([_csv_cell(row[col]) for col in header] for row in rows)
+                # None and the bools by identity, so that an int 1 prints 1
+                writer.writerows(
+                    [
+                        "" if v is None else "true" if v is True else "false" if v is False else v
+                        for v in map(row.__getitem__, header)
+                    ]
+                    for row in rows
+                )
             else:
                 json.dump(document, fh, indent=2, default=list)  # default: the lazy record map
                 fh.write("\n")

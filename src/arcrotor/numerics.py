@@ -25,7 +25,7 @@ from operator import index
 
 
 class InvalidModulusError(ValueError):
-    """Raised when a modulus smaller than 2 is supplied."""
+    """Raised when a modulus is not a whole number of at least 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,12 @@ def default_tolerance(mode: NumericMode, modulus: int) -> float:
 
     Valid reduced angles lie on the lattice {0, theta, 2*theta, ...} with
     theta = 360/modulus, so half a lattice step separates neighbours; exact
-    mode needs no tolerance at all.
+    mode needs no tolerance at all.  The modulus must be a whole number
+    (what ``operator.index`` takes) of at least 2.
     """
     _check_mode(mode)
+    if type(modulus) is not int:
+        modulus = _whole(modulus, "modulus", InvalidModulusError)
     if modulus < 2:
         raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
     if mode.is_exact:

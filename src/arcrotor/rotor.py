@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import fmod, inf, isfinite
+from math import fmod, gcd, inf, isfinite
 
 import numpy as np
 
@@ -138,10 +138,13 @@ _WIDE_WRAP = 2**30
 # solves end, and the rest in numpy blocks of _ORBIT_ROW columns (baby
 # steps) by a doubling number of rows (giant steps).  _BLOCK_VALUES caps the
 # values in one block, so a block's arrays stay near 1 MB at any max_steps.
-# A block costs about as much as 200 loop steps at any size, so blocks run
-# only where max_steps leaves room for a full first block after the head.
-# Entered from step 64 on, they made verify's solver walks up to p = 500
-# 1.2-1.4x slower: most of those that pass the head end within 300 steps.
+# A walk's first block, 1,024 values, costs about as much as 200 narrow loop
+# steps (most of it per numpy call, not per value), and a full block 7-12 ns
+# a value, so blocks run only where max_steps leaves room for a full first
+# block after the head.  Entered from step 64 on, they made verify's
+# solver walks up to p = 500 1.2-1.4x slower: most of those that pass the
+# head end within 300 steps.  A 32-step head or an entry from 576 or 800
+# steps replayed the sweep's and the fixed:32 scan's walks within noise.
 _BLOCK_HEAD = 64
 _ORBIT_ROW = 32
 _BLOCK_VALUES = 2**15
@@ -255,22 +258,29 @@ def _orbit_blocks(
     Returns (acc, steps, total, reason), total the sum of the values walked
     here, which a list ``trail`` gets as ints; _walk_int has the proof.
     """
-    # A narrow product G * B is below 2**60, so `% wrap` of the int64 table
-    # is exact.  A wide one (wrap < 2**48) can pass 2**63, and the int64
-    # table holds it only mod 2**64; the quotient q = G * B / wrap comes from
-    # float64 instead.  G and B are integers in [0, wrap], so exact floats
-    # (numpy casts the column), and the float product of G and fl(B / wrap)
-    # has two roundings: it lies within wrap * 2**-52 < 1/16 of q.  Its
-    # floor (the cast truncates a non-negative float) is thus within one of
-    # floor(q), and the remainder r = G * B - floor * wrap lies in
+    # A narrow product G * B is below 2**60, so floor division of the int64
+    # table by wrap is exact.  A wide one (wrap < 2**48) can pass 2**63, and
+    # the int64 table holds it only mod 2**64; the quotient q = G * B / wrap
+    # comes from float64 instead.  G and B are integers in [0, wrap], so
+    # exact floats (numpy casts the column), and the float product of G and
+    # fl(B / wrap) has two roundings: it lies within wrap * 2**-52 < 1/16 of
+    # q.  Its floor (the cast truncates a non-negative float) is thus within
+    # one of floor(q), and the remainder r = G * B - floor * wrap lies in
     # [-wrap, 2 * wrap).  As |r| < 2**63, int64 arithmetic, exact mod 2**64,
-    # gives r itself, and `% wrap` the value.
-    baby = np.empty(_ORBIT_ROW, np.int64)
-    g = 1
-    for r in range(_ORBIT_ROW):
+    # gives r itself.  Either way, subtracting floor(r / wrap) * wrap (numpy
+    # floors int64 division, as Python does) leaves r mod wrap in [0, wrap):
+    # three passes that cost less than one `%` from 2,048 values on.
+    # A value is 0 only where wrap divides acc * x**t.  When gcd(x, wrap) = 1
+    # that needs wrap to divide acc, in [1, wrap], so acc == wrap: otherwise
+    # no block holds a 0 and none needs the map of 0 to wrap.  The integer
+    # field's walks (p prime, x < p) are all such walks.
+    babies, g = [], 1
+    for _ in range(_ORBIT_ROW):
         g = g * x % wrap
-        baby[r] = g
+        babies.append(g)
+    baby = np.array(babies, np.int64)
     ratio = baby / wrap if wrap >= _WIDE_WRAP else None
+    zero_free = gcd(x, wrap) == 1 and acc != wrap
     # clamped into int64: values lie in [1, wrap], so ends and a cycle
     # reference outside it change no test
     lo, hi = min(max(lo, 0), wrap + 1), min(max(hi, 0), wrap + 1)
@@ -282,14 +292,29 @@ def _orbit_blocks(
         giant = [acc]
         for _ in range(1, -(-n // _ORBIT_ROW)):
             giant.append(giant[-1] * g % wrap)
-        column = np.array(giant, np.int64)
-        table = np.multiply.outer(column, baby)
+        column = np.array(giant, np.int64)[:, None]
+        table = column * baby
         if ratio is not None:
-            table -= np.multiply.outer(column, ratio).astype(np.int64) * wrap
-        values = (table % wrap).ravel()[:n]
-        values[values == 0] = wrap
-        stop = ((values >= lo) & (values <= hi)) | (values == cycle)
-        i = int(stop.argmax()) if stop.any() else n - 1  # n - 1: a full block
+            table -= (column * ratio).astype(np.int64) * wrap
+        # In place after the floor: each fresh 2**15-value temporary costs a
+        # long walk about 1 ns a step.
+        floor = table // wrap
+        floor *= wrap
+        table -= floor
+        values = table.ravel()[:n]
+        if not zero_free:
+            values[values == 0] = wrap
+        # One expression per case, no pass for an empty interval: OR-ing into
+        # a mask in place raised the fixed:32 scan's peak RSS by 0.2-0.5 MB.
+        if lo == hi:
+            stop = (values == lo) | (values == cycle)
+        elif lo < hi:
+            stop = (values >= lo) & (values <= hi) | (values == cycle)
+        else:
+            stop = values == cycle
+        i = int(stop.argmax())
+        if not stop[i]:
+            i = n - 1  # a full block
         if trail is not None:
             trail.extend(values[: i + 1].tolist())
         total += int(values[: i + 1].sum())

@@ -3,10 +3,13 @@
 import json
 import math
 import random
+import statistics
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcrotor import bench
 from arcrotor import (
@@ -325,6 +328,22 @@ class TestFitComplexity:
             fit = fit_complexity(records, "p", aggregate)
             assert fit.r_squared == 1.0
             assert abs(fit.exponent) <= 1e-9
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mean_is_statistics_mean_as_a_float(self, data):
+        # op counts are ints; sums pass 2**53, where a float sum would round
+        values = data.draw(
+            st.lists(st.one_of(st.integers(1, 10**6), st.integers(2**50, 2**70)), min_size=1, max_size=12),
+            label="values",
+        )
+        if data.draw(st.booleans(), label="whole"):
+            values[-1] += -sum(values) % len(values)
+        expected = statistics.mean(values)
+        assert type(expected) is int or sum(values) % len(values)
+        got = bench._mean(values)
+        assert type(got) is float and got == float(expected)
 
 
 class TestPrecisionScan:

@@ -82,6 +82,15 @@ class TestNumericMode:
         with pytest.raises(InvalidModulusError):
             default_tolerance(FLOAT64_DEGREES, 1)
 
+    @pytest.mark.parametrize("modulus", [7.5, "7"])
+    def test_default_tolerance_rejects_a_modulus_that_is_not_whole(self, modulus):
+        # 7.5 gave 24.0 and "7" an untyped TypeError
+        with pytest.raises(InvalidModulusError, match="^modulus must be a whole number"):
+            default_tolerance(FLOAT64_DEGREES, modulus)
+
+    def test_default_tolerance_takes_a_numpy_int_modulus(self):
+        assert default_tolerance(FLOAT64_DEGREES, np.int64(7)) == 180.0 / 7
+
     def test_default_tolerance_of_a_mode_name_rejected(self):
         # a mode name is not a mode: it raised an untyped AttributeError
         with pytest.raises(ValueError, match="^mode must be a NumericMode, got 'float64'"):

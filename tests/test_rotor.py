@@ -1093,6 +1093,91 @@ class TestWideBlocks:
         assert block_calls and not float_calls
 
 
+class TestBlockPaths:
+    # One property over every branch of a block: narrow and wide wraps;
+    # bounds just past the entry and across the first two block edges;
+    # orbits where a 0 can occur (x shares a factor with the wrap, or the
+    # walk sits at the wrap when the blocks start) and orbits where none
+    # can; point, interval and empty hit intervals; a cycle reference inside
+    # and outside [1, wrap]; walks with and without a trail.
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_block_paths_match_product_walk(self, data):
+        wide = data.draw(st.booleans(), label="wide")
+        if wide:
+            low, high, entry = W30, _BLOCK_WRAP, _WIDE_BLOCK_MIN_STEPS
+            wraps = st.one_of(st.integers(low, high - 1), st.integers(22, 39).map(lambda b: 360 << b))
+        else:
+            low, high, entry = 2, W30, _BLOCK_MIN_STEPS
+            wraps = st.one_of(st.integers(low, 5000), st.integers(low, high - 1))
+        family = data.draw(st.sampled_from(["unit", "shared", "parks", "multiple"]), label="family")
+        if family == "unit" or family == "multiple":
+            wrap = data.draw(wraps.filter(lambda w: w >= 3), label="wrap")
+            x = data.draw(st.integers(1, wrap - 1), label="x")
+            while gcd(x, wrap) > 1:
+                x //= gcd(x, wrap)
+            acc = data.draw(st.integers(1, 3 * wrap), label="acc")
+            if family == "multiple":  # gcd(x, wrap) = 1: only these starts reach 0
+                acc = acc // wrap * wrap or wrap
+        elif family == "shared":
+            f = data.draw(st.integers(2, 100), label="f")
+            wrap = f * data.draw(st.integers(-(-low // f) + 1, (high - 1) // f), label="wrap / f")
+            x = f * data.draw(st.integers(1, wrap // f - 1), label="x / f")
+            acc = data.draw(st.integers(1, 3 * wrap), label="acc")
+        else:
+            # c divides acc and f divides x, so acc * x**e is a multiple of the
+            # wrap f**e * c: the walk sits at the wrap from step e < 48 on,
+            # before the blocks start
+            f = data.draw(st.integers(2, 7), label="f")
+            e = data.draw(st.integers(1, max(e for e in range(1, 48) if f**e <= high // 2)), label="e")
+            wrap = f**e * data.draw(st.integers(-(-low // f**e), (high - 1) // f**e), label="c")
+            x = f * data.draw(st.integers(1, max((wrap - 1) // f, 1)), label="x / f")
+            acc = wrap // f**e * data.draw(st.integers(1, 3 * f**e), label="acc / c")
+        block_1, block_2 = _BLOCK_HEAD + _ORBIT_ROW**2, _BLOCK_HEAD + 3 * _ORBIT_ROW**2
+        edges = [entry + 1, entry + 2, block_1 - 1, block_1, block_1 + 1, block_2, block_2 + 1]
+        max_steps = data.draw(
+            st.one_of(st.sampled_from(edges), st.integers(entry + 1, block_2 + 50)), label="max_steps"
+        )
+        at = st.one_of(
+            st.sampled_from([_BLOCK_HEAD + 1, block_1, block_1 + 1, block_2]),
+            st.integers(_BLOCK_HEAD + 1, max_steps),
+        ).filter(lambda s: s <= max_steps)
+        on_walk = at.map(lambda s: _product_walk(x, acc, 1, 0, wrap, s, 0)[0])
+        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
+        kind = data.draw(st.sampled_from(["point", "interval", "empty"]), label="hits")
+        width = data.draw(st.sampled_from([1, 2, wrap // 5000]), label="width")
+        lo, hi = {
+            "point": (target, target),
+            "interval": (target - width, target + width),
+            "empty": (target, target - 1 - width),
+        }[kind]
+        cycle = data.draw(
+            st.one_of(
+                st.sampled_from([None, 0, -wrap, wrap + 1, 2 * wrap]),
+                on_walk,
+                st.integers(1, wrap),
+            ),
+            label="cycle",
+        )
+        trail = [] if data.draw(st.booleans(), label="trail") else None
+        got = _walk_int(x, acc, lo, hi, wrap, max_steps, trail, cycle)
+        assert got == _product_walk(x, acc, lo, hi, wrap, max_steps, cycle)
+        assert [type(v) for v in got] == [int, int, int, SolveReason]
+        if trail is not None:
+            assert got == _walk_int(x, acc, lo, hi, wrap, max_steps, None, cycle)
+            stop = acc if cycle is None else cycle
+            expected, value = [], acc
+            while len(expected) < max_steps:
+                value *= x
+                if value > wrap:
+                    value = value % wrap or wrap
+                expected.append(value)
+                if lo <= value <= hi or value == stop:
+                    break
+            assert trail == expected
+            assert all(type(v) is int for v in trail)
+
+
 def _float_fold(acc, x):
     """x-fold repeated addition of a float: acc * x where every partial sum is exact, else the loop.
 
