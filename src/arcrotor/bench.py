@@ -500,10 +500,11 @@ def emit_results(payload, format: str, path) -> None:
             if fmt == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                # None and the bools by identity, so that an int 1 prints 1
+                # the bools by identity, so that an int 1 prints 1; csv
+                # writes None as ""
                 writer.writerows(
                     [
-                        "" if v is None else "true" if v is True else "false" if v is False else v
+                        "true" if v is True else "false" if v is False else v
                         for v in map(row.__getitem__, header)
                     ]
                     for row in rows

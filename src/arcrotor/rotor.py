@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import fmod, gcd, inf, isfinite
+from math import fmod, inf, isfinite
 
 import numpy as np
 
@@ -138,7 +138,7 @@ _WIDE_WRAP = 2**30
 # solves end, and the rest in numpy blocks of _ORBIT_ROW columns (baby
 # steps) by a doubling number of rows (giant steps).  _BLOCK_VALUES caps the
 # values in one block, so a block's arrays stay near 1 MB at any max_steps.
-# A walk's first block, 1,024 values, costs about as much as 200 narrow loop
+# A walk's first block, 1,024 values, costs about as much as 210 narrow loop
 # steps (most of it per numpy call, not per value), and a full block 7-12 ns
 # a value, so blocks run only where max_steps leaves room for a full first
 # block after the head.  Entered from step 64 on, they made verify's
@@ -267,20 +267,15 @@ def _orbit_blocks(
     # q.  Its floor (the cast truncates a non-negative float) is thus within
     # one of floor(q), and the remainder r = G * B - floor * wrap lies in
     # [-wrap, 2 * wrap).  As |r| < 2**63, int64 arithmetic, exact mod 2**64,
-    # gives r itself.  Either way, subtracting floor(r / wrap) * wrap (numpy
-    # floors int64 division, as Python does) leaves r mod wrap in [0, wrap):
-    # three passes that cost less than one `%` from 2,048 values on.
-    # A value is 0 only where wrap divides acc * x**t.  When gcd(x, wrap) = 1
-    # that needs wrap to divide acc, in [1, wrap], so acc == wrap: otherwise
-    # no block holds a 0 and none needs the map of 0 to wrap.  The integer
-    # field's walks (p prime, x < p) are all such walks.
+    # gives r itself.  Either way, subtracting floor((r - 1) / wrap) * wrap
+    # (numpy floors int64 division, as Python does) leaves the value
+    # congruent to r in [1, wrap]: 0 goes to wrap, as the loop's `or wrap`.
     babies, g = [], 1
     for _ in range(_ORBIT_ROW):
         g = g * x % wrap
         babies.append(g)
     baby = np.array(babies, np.int64)
     ratio = baby / wrap if wrap >= _WIDE_WRAP else None
-    zero_free = gcd(x, wrap) == 1 and acc != wrap
     # clamped into int64: values lie in [1, wrap], so ends and a cycle
     # reference outside it change no test
     lo, hi = min(max(lo, 0), wrap + 1), min(max(hi, 0), wrap + 1)
@@ -296,22 +291,20 @@ def _orbit_blocks(
         table = column * baby
         if ratio is not None:
             table -= (column * ratio).astype(np.int64) * wrap
-        # In place after the floor: each fresh 2**15-value temporary costs a
-        # long walk about 1 ns a step.
-        floor = table // wrap
+        # In place after the first pass: each fresh 2**15-value temporary
+        # costs a long walk about 1 ns a step.
+        floor = table - 1
+        floor //= wrap
         floor *= wrap
         table -= floor
         values = table.ravel()[:n]
-        if not zero_free:
-            values[values == 0] = wrap
-        # One expression per case, no pass for an empty interval: OR-ing into
-        # a mask in place raised the fixed:32 scan's peak RSS by 0.2-0.5 MB.
+        # One expression per case: OR-ing into a mask in place raised the
+        # fixed:32 scan's peak RSS by 0.2-0.5 MB.  An empty interval
+        # (lo > hi) holds no value.
         if lo == hi:
             stop = (values == lo) | (values == cycle)
-        elif lo < hi:
-            stop = (values >= lo) & (values <= hi) | (values == cycle)
         else:
-            stop = values == cycle
+            stop = (values >= lo) & (values <= hi) | (values == cycle)
         i = int(stop.argmax())
         if not stop[i]:
             i = n - 1  # a full block

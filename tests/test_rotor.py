@@ -62,26 +62,32 @@ def _literal_step(acc, x, wrap):
     return total, subs
 
 
-def _literal_walk(x, first, target, wrap, tol, max_steps):
-    """The paper's walk from x^1 = first, step for step: (acc, steps, subtractions, reason)."""
+def _literal_walk(x, first, target, wrap, tol, max_steps, cycle=None):
+    """The paper's walk from x^1 = first, step for step: (acc, steps, subtractions, reason).
+
+    A return to ``cycle`` (None: to ``first``) ends the walk with CycleDetected.
+    """
     acc = first
+    if cycle is None:
+        cycle = first
     subs = 0
     for step in range(1, max_steps + 1):
         acc, m = _literal_step(acc, x, wrap)
         subs += m
         if abs(acc - target) <= tol:
             return acc, step, subs, SolveReason.FOUND
-        if acc == first:
+        if acc == cycle:
             return acc, step, subs, SolveReason.CYCLE_DETECTED
     return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
 
 
-def _product_walk(x, first, lo, hi, wrap, max_steps, cycle=None):
+def _product_walk(x, first, lo, hi, wrap, max_steps, cycle=None, trail=None):
     """``_literal_walk`` with hits on [lo, hi], for x or values too large to step through literally.
 
     The x-fold addition is one product, and the subtraction loop of a value
     v > wrap runs (v - 1) // wrap times.  A return to ``cycle`` (None: to
-    ``first``) ends the walk with CycleDetected.
+    ``first``) ends the walk with CycleDetected.  A list ``trail`` gets each
+    value.
     """
     acc = first
     if cycle is None:
@@ -93,6 +99,8 @@ def _product_walk(x, first, lo, hi, wrap, max_steps, cycle=None):
             m = (acc - 1) // wrap
             acc -= m * wrap
             subs += m
+        if trail is not None:
+            trail.append(acc)
         if lo <= acc <= hi:
             return acc, step, subs, SolveReason.FOUND
         if acc == cycle:
@@ -883,12 +891,74 @@ def block_calls(monkeypatch):
     return calls
 
 
-def _checked_block_walk(x, acc, lo, hi, wrap, max_steps):
-    """``_walk_int``'s return, checked against the product walk, value, counts and types."""
-    got = _walk_int(x, acc, lo, hi, wrap, max_steps)
-    assert got == _product_walk(x, acc, lo, hi, wrap, max_steps)
+def _checked_block_walk(x, acc, lo, hi, wrap, max_steps, trail=None, cycle=None):
+    """``_walk_int``'s return, checked against the product walk, value, counts, types and trail."""
+    got = _walk_int(x, acc, lo, hi, wrap, max_steps, trail, cycle)
+    expected = None if trail is None else []
+    assert got == _product_walk(x, acc, lo, hi, wrap, max_steps, cycle, expected)
     assert [type(v) for v in got] == [int, int, int, SolveReason]
+    if trail is not None:
+        assert trail == expected
+        assert all(type(v) is int for v in trail)
     return got
+
+
+def _block_walk(data, wraps, low, high, entry, top):
+    """Draws a walk past a block entry bound: (x, acc, target, tol, wrap, max_steps, trail, cycle).
+
+    x and acc come from four families: any x (wrap from ``wraps``); x
+    sharing a factor f with the wrap; a walk that sits at the wrap from step
+    e < 48 on, before the blocks start (f divides x, and acc * x**e is a
+    multiple of the wrap f**e * c); a start at a multiple of the wrap with x
+    a unit.  The last three reach 0 mod the wrap, so the loop's map of 0 to
+    the wrap shows.  Half the draws keep x <= 20, small enough for
+    ``_literal_walk``.  The bound lands on the entry bound ``entry`` and the
+    first two block edges, or anywhere up to ``top``; the target is a value
+    of the walk (near the block edges or anywhere), or any value; tol 0, -1
+    and above 0 make point, empty and interval hits; the cycle reference is
+    the start (None) or a value on the walk, in [1, wrap] or outside it.
+    """
+    family = data.draw(st.sampled_from(["any", "shared", "parks", "multiple"]), label="family")
+    small = data.draw(st.booleans(), label="x <= 20")
+    if family in ("any", "multiple"):
+        wrap = data.draw(wraps, label="wrap")
+        x = data.draw(st.integers(2, 20 if small else wrap), label="x")
+        acc = data.draw(st.integers(1, 3 * wrap), label="acc")
+        if family == "multiple":
+            while gcd(x, wrap) > 1:
+                x //= gcd(x, wrap)
+            acc = acc // wrap * wrap or wrap
+    elif family == "shared":
+        f = data.draw(st.integers(2, 20 if small else 100), label="f")
+        wrap = f * data.draw(st.integers(-(-low // f) + 1, (high - 1) // f), label="wrap / f")
+        x = f * data.draw(st.integers(1, 20 // f if small else wrap // f - 1), label="x / f")
+        acc = data.draw(st.integers(1, 3 * wrap), label="acc")
+    else:
+        f = data.draw(st.integers(2, 7), label="f")
+        e = data.draw(st.integers(1, max(e for e in range(1, 48) if f**e <= high // 2)), label="e")
+        wrap = f**e * data.draw(st.integers(-(-low // f**e), (high - 1) // f**e), label="c")
+        cofactors = st.integers(1, 20 // f if small else max((wrap - 1) // f, 1))
+        x = f * data.draw(cofactors, label="x / f")
+        acc = wrap // f**e * data.draw(st.integers(1, 3 * f**e), label="acc / c")
+    edges = {entry, entry + 1, entry + 2, BLOCK_1 - 1, BLOCK_1, BLOCK_1 + 1, BLOCK_2, BLOCK_2 + 1}
+    edges = sorted(s for s in edges if s >= entry)
+    max_steps = data.draw(
+        st.one_of(st.sampled_from(edges), st.integers(entry, top)), label="max_steps"
+    )
+    # a value of the walk past the head, or any value
+    at = st.one_of(
+        st.sampled_from([_BLOCK_HEAD + 1, BLOCK_1, BLOCK_1 + 1, BLOCK_2]),
+        st.integers(_BLOCK_HEAD + 1, max_steps),
+    ).filter(lambda s: s <= max_steps)
+    on_walk = at.map(lambda s: _product_walk(x, acc, 1, 0, wrap, s, 0)[0])
+    target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
+    tol = data.draw(st.sampled_from([0, -1, 1, wrap // 2000]), label="tol")
+    trail = [] if data.draw(st.booleans(), label="trail") else None
+    outside = st.sampled_from([0, -wrap, wrap + 1, 2 * wrap])
+    cycle = data.draw(
+        st.one_of(st.none(), st.one_of(outside, on_walk, st.integers(1, wrap))), label="cycle"
+    )
+    return x, acc, target, tol, wrap, max_steps, trail, cycle
 
 
 # the orbit of 3 mod the prime 4999 has all 4998 units: from x^1 = 3, step s
@@ -901,20 +971,15 @@ BLOCK_2 = BLOCK_1 + 2 * _ORBIT_ROW**2  # and of the second, twice as tall
 class TestOrbitBlocks:
     # Narrow walks whose bound leaves room for a full first block run in
     # numpy product tables after the head; each answer must be the loop's.
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_block_walks_match_literal_walk(self, data):
-        wrap = data.draw(st.one_of(st.integers(2, 5000), st.integers(2, W30 - 1)), label="wrap")
-        x = data.draw(st.integers(2, 20), label="x")
-        acc = data.draw(st.integers(1, 3 * wrap), label="acc")
-        max_steps = data.draw(st.integers(_BLOCK_MIN_STEPS, 4000), label="max_steps")
-        # a value of the walk past the head, or any value
-        on_walk = st.integers(_BLOCK_HEAD + 1, max_steps).map(
-            lambda s: _product_walk(x, acc, 1, 0, wrap, s)[0]
-        )
-        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
-        tol = data.draw(st.sampled_from([0, -1, 1, wrap // 2000]), label="tol")
-        _checked_walk(x, acc, target, wrap, tol, max_steps)
+        wraps = st.one_of(st.integers(2, 5000), st.integers(2, W30 - 1))
+        walk = _block_walk(data, wraps, 2, W30, _BLOCK_MIN_STEPS, 4000)
+        x, acc, target, tol, wrap, max_steps, trail, cycle = walk
+        got = _checked_block_walk(x, acc, target - tol, target + tol, wrap, max_steps, trail, cycle)
+        if x <= 20:
+            assert got == _literal_walk(x, acc, target, wrap, tol, max_steps, cycle)
 
     @pytest.mark.parametrize(
         "step",
@@ -1032,23 +1097,15 @@ class TestWideBlocks:
     # Wide walks (wraps from 2**30 to below 2**48) with a bound above
     # _WIDE_BLOCK_MIN_STEPS also run in blocks, whose products can pass
     # 2**63; each answer must be the loop's.
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(st.data())
     def test_wide_block_walks_match_product_walk(self, data):
-        wrap = data.draw(
-            st.one_of(st.integers(W30, _BLOCK_WRAP - 1), st.integers(22, 39).map(lambda b: 360 << b)),
-            label="wrap",
+        wraps = st.one_of(
+            st.integers(W30, _BLOCK_WRAP - 1), st.integers(22, 39).map(lambda b: 360 << b)
         )
-        x = data.draw(st.one_of(st.integers(2, 20), st.integers(2, wrap)), label="x")
-        acc = data.draw(st.integers(1, 3 * wrap), label="acc")
-        max_steps = data.draw(st.integers(_WIDE_BLOCK_MIN_STEPS, 3000), label="max_steps")
-        # a value of the walk past the head, or any value
-        on_walk = st.integers(_BLOCK_HEAD + 1, max_steps).map(
-            lambda s: _product_walk(x, acc, 1, 0, wrap, s)[0]
-        )
-        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
-        tol = data.draw(st.sampled_from([0, -1, 1, wrap // 2000]), label="tol")
-        _checked_block_walk(x, acc, target - tol, target + tol, wrap, max_steps)
+        walk = _block_walk(data, wraps, W30, _BLOCK_WRAP, _WIDE_BLOCK_MIN_STEPS, 3000)
+        x, acc, target, tol, wrap, max_steps, trail, cycle = walk
+        _checked_block_walk(x, acc, target - tol, target + tol, wrap, max_steps, trail, cycle)
 
     def test_product_on_a_multiple_of_the_wrap(self, block_calls):
         # 5 * 6**35 is a multiple of F32: the walk parks at the bound in the
@@ -1091,91 +1148,6 @@ class TestWideBlocks:
         assert (report.k, report.reason, report.counters) == _literal_int_solve(inst, mode, None)
         assert report.reason is SolveReason.EXHAUSTED_ITERATIONS
         assert block_calls and not float_calls
-
-
-class TestBlockPaths:
-    # One property over every branch of a block: narrow and wide wraps;
-    # bounds just past the entry and across the first two block edges;
-    # orbits where a 0 can occur (x shares a factor with the wrap, or the
-    # walk sits at the wrap when the blocks start) and orbits where none
-    # can; point, interval and empty hit intervals; a cycle reference inside
-    # and outside [1, wrap]; walks with and without a trail.
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_block_paths_match_product_walk(self, data):
-        wide = data.draw(st.booleans(), label="wide")
-        if wide:
-            low, high, entry = W30, _BLOCK_WRAP, _WIDE_BLOCK_MIN_STEPS
-            wraps = st.one_of(st.integers(low, high - 1), st.integers(22, 39).map(lambda b: 360 << b))
-        else:
-            low, high, entry = 2, W30, _BLOCK_MIN_STEPS
-            wraps = st.one_of(st.integers(low, 5000), st.integers(low, high - 1))
-        family = data.draw(st.sampled_from(["unit", "shared", "parks", "multiple"]), label="family")
-        if family == "unit" or family == "multiple":
-            wrap = data.draw(wraps.filter(lambda w: w >= 3), label="wrap")
-            x = data.draw(st.integers(1, wrap - 1), label="x")
-            while gcd(x, wrap) > 1:
-                x //= gcd(x, wrap)
-            acc = data.draw(st.integers(1, 3 * wrap), label="acc")
-            if family == "multiple":  # gcd(x, wrap) = 1: only these starts reach 0
-                acc = acc // wrap * wrap or wrap
-        elif family == "shared":
-            f = data.draw(st.integers(2, 100), label="f")
-            wrap = f * data.draw(st.integers(-(-low // f) + 1, (high - 1) // f), label="wrap / f")
-            x = f * data.draw(st.integers(1, wrap // f - 1), label="x / f")
-            acc = data.draw(st.integers(1, 3 * wrap), label="acc")
-        else:
-            # c divides acc and f divides x, so acc * x**e is a multiple of the
-            # wrap f**e * c: the walk sits at the wrap from step e < 48 on,
-            # before the blocks start
-            f = data.draw(st.integers(2, 7), label="f")
-            e = data.draw(st.integers(1, max(e for e in range(1, 48) if f**e <= high // 2)), label="e")
-            wrap = f**e * data.draw(st.integers(-(-low // f**e), (high - 1) // f**e), label="c")
-            x = f * data.draw(st.integers(1, max((wrap - 1) // f, 1)), label="x / f")
-            acc = wrap // f**e * data.draw(st.integers(1, 3 * f**e), label="acc / c")
-        block_1, block_2 = _BLOCK_HEAD + _ORBIT_ROW**2, _BLOCK_HEAD + 3 * _ORBIT_ROW**2
-        edges = [entry + 1, entry + 2, block_1 - 1, block_1, block_1 + 1, block_2, block_2 + 1]
-        max_steps = data.draw(
-            st.one_of(st.sampled_from(edges), st.integers(entry + 1, block_2 + 50)), label="max_steps"
-        )
-        at = st.one_of(
-            st.sampled_from([_BLOCK_HEAD + 1, block_1, block_1 + 1, block_2]),
-            st.integers(_BLOCK_HEAD + 1, max_steps),
-        ).filter(lambda s: s <= max_steps)
-        on_walk = at.map(lambda s: _product_walk(x, acc, 1, 0, wrap, s, 0)[0])
-        target = data.draw(st.one_of(on_walk, st.integers(0, wrap)), label="target")
-        kind = data.draw(st.sampled_from(["point", "interval", "empty"]), label="hits")
-        width = data.draw(st.sampled_from([1, 2, wrap // 5000]), label="width")
-        lo, hi = {
-            "point": (target, target),
-            "interval": (target - width, target + width),
-            "empty": (target, target - 1 - width),
-        }[kind]
-        cycle = data.draw(
-            st.one_of(
-                st.sampled_from([None, 0, -wrap, wrap + 1, 2 * wrap]),
-                on_walk,
-                st.integers(1, wrap),
-            ),
-            label="cycle",
-        )
-        trail = [] if data.draw(st.booleans(), label="trail") else None
-        got = _walk_int(x, acc, lo, hi, wrap, max_steps, trail, cycle)
-        assert got == _product_walk(x, acc, lo, hi, wrap, max_steps, cycle)
-        assert [type(v) for v in got] == [int, int, int, SolveReason]
-        if trail is not None:
-            assert got == _walk_int(x, acc, lo, hi, wrap, max_steps, None, cycle)
-            stop = acc if cycle is None else cycle
-            expected, value = [], acc
-            while len(expected) < max_steps:
-                value *= x
-                if value > wrap:
-                    value = value % wrap or wrap
-                expected.append(value)
-                if lo <= value <= hi or value == stop:
-                    break
-            assert trail == expected
-            assert all(type(v) is int for v in trail)
 
 
 def _float_fold(acc, x):
