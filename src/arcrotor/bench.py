@@ -396,8 +396,10 @@ def precision_scan(
     oracle's least k (missing answers included).  By default the scan stops
     after the first failing p (completing that p's samples, and generating
     nothing past it); pass ``stop_at_first_failure=False`` for a full failure
-    census up to p_max.
+    census up to p_max.  The flag must be a bool (numpy's too).
     """
+    if not isinstance(stop_at_first_failure, (bool, np.bool_)):
+        raise ValueError(f"stop_at_first_failure must be a bool, got {stop_at_first_failure!r}")
     cfg = SweepConfig(
         max(p_min, 3), p_max, samples_per_p, seed,
         prime_only=False, algo="rotor-real", mode=mode, tolerance=tolerance,

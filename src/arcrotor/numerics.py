@@ -101,11 +101,10 @@ def parse_mode(text: str) -> NumericMode:
     if text == "float64":
         return FLOAT64_DEGREES
     if text.startswith("fixed:"):
-        try:
-            bits = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad fixed-point bit count in mode {text!r}") from None
-        return fixed_point(bits)
+        bits = text[len("fixed:") :]
+        if not (bits.isascii() and bits.isdigit()):
+            raise ValueError(f"bad fixed-point bit count in mode {text!r}")
+        return fixed_point(int(bits))
     raise ValueError(f"unknown numeric mode {text!r} (expected exact, float64 or fixed:<bits>)")
 
 

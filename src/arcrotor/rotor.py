@@ -134,26 +134,20 @@ _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 # run faster on float64 carriers (fixed:24 and fixed:32 scans, x1.7); walks
 # within one digit run faster on ints (the integer field, x0.7 on floats).
 _WIDE_WRAP = 2**30
-# A narrow walk runs its first _BLOCK_HEAD steps on the loop, where most
-# solves end, and the rest in numpy blocks of _ORBIT_ROW columns (baby
-# steps) by a doubling number of rows (giant steps).  _BLOCK_VALUES caps the
-# values in one block, so a block's arrays stay near 1 MB at any max_steps.
-# A walk's first block, 1,024 values, costs about as much as 210 narrow loop
-# steps (most of it per numpy call, not per value), and a full block 7-12 ns
-# a value, so blocks run only where max_steps leaves room for a full first
-# block after the head.  Entered from step 64 on, they made verify's
-# solver walks up to p = 500 1.2-1.4x slower: most of those that pass the
-# head end within 300 steps.  A 32-step head or an entry from 576 or 800
-# steps replayed the sweep's and the fixed:32 scan's walks within noise.
+# A walk runs its first _BLOCK_HEAD steps on the loop, where most solves
+# end, and the rest in numpy blocks of _ORBIT_ROW columns (baby steps) by a
+# doubling number of rows (giant steps).  _BLOCK_VALUES caps the values in
+# one block, so a block's arrays stay near 1 MB at any max_steps.  A walk's
+# first block, 1,024 values, costs about as much as 210 narrow loop steps
+# (most of it per numpy call, not per value), and a full block 7-12 ns a
+# value, so blocks run only where max_steps leaves room for a quarter of a
+# first block after the head, for narrow and wide wraps alike.  Entered
+# from step 64 on, they made verify's solver walks up to p = 500 1.2-1.4x
+# slower: most of those that pass the head end within 300 steps.
 _BLOCK_HEAD = 64
 _ORBIT_ROW = 32
 _BLOCK_VALUES = 2**15
-_BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2
-# A wide loop step on float64 carriers costs about twice a narrow one, so
-# wide walks gain from blocks at shorter bounds: entered above 320 steps,
-# the fixed:32 scan's walks replayed in 0.60-0.65 of the loop's time, above
-# 1,088 steps in 0.83-0.90 (only 316 of its 3,251 walks have such a bound).
-_WIDE_BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2 // 4
+_BLOCK_MIN_STEPS = _BLOCK_HEAD + _ORBIT_ROW**2 // 4
 # Values of a block stay below _BLOCK_WRAP, so its int64 sum is exact.
 _BLOCK_WRAP = 2**63 // _BLOCK_VALUES
 
@@ -190,10 +184,9 @@ def _walk_int(
     # count, whose product can pass 2**53.  A trail holds ints on every path:
     # the carriers a wide walk appended go back to int with the rest.
     # A walk runs a head of _BLOCK_HEAD steps on the loop and the rest in
-    # _orbit_blocks, which extend the trail, when x >= 1, acc >= 1 and either
-    # 1 <= wrap < _WIDE_WRAP with max_steps > _BLOCK_MIN_STEPS (narrow) or
-    # _WIDE_WRAP <= wrap < _BLOCK_WRAP with max_steps > _WIDE_BLOCK_MIN_STEPS
-    # (wide; carriers go back to int before the blocks).
+    # _orbit_blocks, which extend the trail, when x >= 1, acc >= 1,
+    # 1 <= wrap < _BLOCK_WRAP and max_steps > _BLOCK_MIN_STEPS (a wide walk's
+    # carriers go back to int before the blocks).
     # Then every value after the first step lies in [1, wrap]: a product
     # a * x >= 1 is either kept (at most wrap) or wrapped into [1, wrap].
     # On [1, wrap] a step maps a to a * x mod wrap, with 0 mapped to wrap,
@@ -208,12 +201,7 @@ def _walk_int(
     if cycle is None:
         cycle = acc
     head = max_steps
-    if (
-        max_steps > (_BLOCK_MIN_STEPS if wrap < _WIDE_WRAP else _WIDE_BLOCK_MIN_STEPS)
-        and x >= 1
-        and acc >= 1
-        and 1 <= wrap < _BLOCK_WRAP
-    ):
+    if max_steps > _BLOCK_MIN_STEPS and x >= 1 and acc >= 1 and 1 <= wrap < _BLOCK_WRAP:
         head = _BLOCK_HEAD
     wide = (
         wrap >= _WIDE_WRAP

@@ -372,6 +372,18 @@ class TestPrecisionScan:
         assert len(partial.buckets) == partial.first_failure_p - 3 + 1
         assert partial.stopped_early
 
+    @pytest.mark.parametrize("flag", [np.True_, np.False_])
+    def test_numpy_bool_stop_at_first_failure(self, flag):
+        mode = fixed_point(8)
+        got = precision_scan(mode, None, 60, 2, 2, stop_at_first_failure=flag)
+        assert got == precision_scan(mode, None, 60, 2, 2, stop_at_first_failure=bool(flag))
+
+    @pytest.mark.parametrize("bad", ["no", "", 0, 1, None, 1.0, np.int64(1)])
+    def test_non_bool_stop_at_first_failure_rejected(self, bad):
+        # "no" stopped at the first failing p, None ran the full census
+        with pytest.raises(ValueError, match=r"^stop_at_first_failure must be a bool"):
+            precision_scan(fixed_point(8), None, 60, 2, 2, stop_at_first_failure=bad)
+
     def test_numpy_int_arguments_match_int_arguments(self):
         mode = fixed_point(8)
         got = precision_scan(mode, None, np.int64(60), np.int64(2), np.int64(2**62), np.int64(3))

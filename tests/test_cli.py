@@ -75,6 +75,15 @@ class TestSolve:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("mode", ["fixed: 8", "fixed:+8", "fixed:1_6"])
+    def test_bit_count_not_plain_digits(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "solve", "--p", "5", "--x", "2", "--y", "3", "--mode", mode
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad fixed-point bit count" in err
+
     def test_negative_tolerance_rejected(self, capsys):
         for mode in ("float64", "fixed:8"):
             for bad in ("-1", "nan", "inf"):

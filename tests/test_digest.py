@@ -33,7 +33,7 @@ def test_orbits_line(solve_digest):
 
 def test_walks_line(solve_digest):
     assert solve_digest._digest(solve_digest._walk_records()) == (
-        "4000 sha256 0259a4f04103b2154c3e2deab69623a54d0d20e30a1a528c19d7009cfd608f7c"
+        "4000 sha256 a08c111c54284882bccaf333cc8406a45bbb15212804f271cb8f7c05952af594"
     )
 
 

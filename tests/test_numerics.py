@@ -75,6 +75,16 @@ class TestNumericMode:
         with pytest.raises(ValueError):
             parse_mode("quad")
 
+    # int() would read each of these: a sign, spaces, an underscore (as 16)
+    # and a full-width digit
+    @pytest.mark.parametrize(
+        "text",
+        ["fixed:+8", "fixed: 8", "fixed:8 ", "fixed:1_6", "fixed:\uff18", "fixed:", "fixed:-8"],
+    )
+    def test_bit_count_is_plain_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="^bad fixed-point bit count in mode"):
+            parse_mode(text)
+
     def test_default_tolerance(self):
         assert default_tolerance(EXACT, 373) == 0.0
         assert default_tolerance(FLOAT64_DEGREES, 360) == 0.5

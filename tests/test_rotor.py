@@ -39,7 +39,6 @@ from arcrotor.rotor import (
     _BLOCK_VALUES,
     _BLOCK_WRAP,
     _ORBIT_ROW,
-    _WIDE_BLOCK_MIN_STEPS,
     _arc_setup,
     _hit_interval,
     _orbit_blocks,
@@ -621,10 +620,9 @@ class TestOrbit:
         wide = data.draw(st.booleans(), label="wide")
         if wide:
             wrap = data.draw(st.integers(W30, _BLOCK_WRAP - 1), label="wrap")
-            edge = _WIDE_BLOCK_MIN_STEPS
         else:
             wrap = data.draw(st.one_of(st.integers(2, 5000), st.integers(2, W30 - 1)), label="wrap")
-            edge = _BLOCK_MIN_STEPS
+        edge = _BLOCK_MIN_STEPS
         max_steps = data.draw(st.integers(edge - 200, edge + 1500), label="max_steps")
         x = data.draw(st.one_of(st.integers(1, 20), st.integers(1, wrap - 1)), label="x")
         acc = data.draw(st.integers(1, 2 * wrap), label="acc")
@@ -662,10 +660,8 @@ class TestOrbit:
         # stops the walk there.  The walk is the product walk's with that
         # reference, and its count is still taken from the start.
         wide = data.draw(st.booleans(), label="wide")
-        if wide:
-            low, high, edge = W30, _BLOCK_WRAP, _WIDE_BLOCK_MIN_STEPS
-        else:
-            low, high, edge = 2, W30, _BLOCK_MIN_STEPS
+        low, high = (W30, _BLOCK_WRAP) if wide else (2, W30)
+        edge = _BLOCK_MIN_STEPS
         family = data.draw(st.sampled_from(["power", "one", "minus one"]), label="family")
         if family == "power":
             t = data.draw(st.integers(2, 12), label="t")
@@ -697,6 +693,16 @@ class TestOrbit:
         walks = _record_walks(monkeypatch)
         entered = sum(_check_orbit_window(p, block_calls, walks) for p in range(1090, 1101))
         assert entered == 7463  # of the window's 12,034 walks
+
+    def test_verify_orbits_at_its_guard_run_in_blocks(self, block_calls, monkeypatch):
+        # p = 499, below verify's p <= 500 guard: the orbit walk's bound 498
+        # passes _BLOCK_MIN_STEPS.  7 generates the units mod 499, so its
+        # walk runs 64 steps on the loop and the other 434 in one block call.
+        ks = _rotor_ks(499, 7)
+        assert len(block_calls) == 1
+        assert sorted(ks) == list(range(1, 499))
+        walks = _record_walks(monkeypatch)
+        assert _check_orbit_window(499, block_calls, walks) == 492  # of 498 walks
 
 
 def _power_table(p):
@@ -969,8 +975,9 @@ BLOCK_2 = BLOCK_1 + 2 * _ORBIT_ROW**2  # and of the second, twice as tall
 
 
 class TestOrbitBlocks:
-    # Narrow walks whose bound leaves room for a full first block run in
-    # numpy product tables after the head; each answer must be the loop's.
+    # Narrow walks whose bound leaves room for a quarter of a first block
+    # run in numpy product tables after the head; each answer must be the
+    # loop's.
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_block_walks_match_literal_walk(self, data):
@@ -992,7 +999,7 @@ class TestOrbitBlocks:
         assert bool(block_calls) is (step > _BLOCK_HEAD)
 
     def test_smallest_bound_that_enters_blocks(self, block_calls):
-        # one full block, then a block of the one step left
+        # one block of the steps left after the head
         steps = _BLOCK_MIN_STEPS + 1
         v = pow(G, steps + 1, P)
         assert _checked_block_walk(G, G, v, v, P, steps)[1:4:2] == (steps, SolveReason.FOUND)
@@ -1049,8 +1056,9 @@ class TestOrbitBlocks:
     @pytest.mark.parametrize(
         "x,acc,wrap,max_steps,trail,entered",
         [
-            (G, G, P, _BLOCK_MIN_STEPS, None, False),
-            (G, G, P, _BLOCK_MIN_STEPS + 1, None, True),
+            # one bound, 320 steps, for narrow and wide wraps
+            (G, G, P, 320, None, False),
+            (G, G, P, 321, None, True),
             (G, 7 * P + 2, P, 2000, None, True),  # a start above the wrap
             (G, 2**70, P, 2000, None, True),
             (1, 7 * P + 2, P, 2000, None, True),
@@ -1061,9 +1069,9 @@ class TestOrbitBlocks:
             (G, G, P, 2000, [], True),  # a trail takes the walk's own path
             (G, 5, W30 - 1, 2000, None, True),
             (G, 5, W30, 2000, None, True),  # wide: float64 carriers, then blocks
-            # wide walks enter from a shorter bound, up to the int64 sum's wrap
-            (G, 5, W30, _WIDE_BLOCK_MIN_STEPS, None, False),
-            (G, 5, W30, _WIDE_BLOCK_MIN_STEPS + 1, None, True),
+            (G, 5, W30, 320, None, False),
+            (G, 5, W30, 321, None, True),
+            # up to the int64 sum's wrap
             (G, 5, _BLOCK_WRAP - 1, 2000, None, True),
             (G, 5, _BLOCK_WRAP, 2000, None, False),
         ],
@@ -1095,7 +1103,7 @@ F32 = 360 << 32  # the fixed:32 wrap, 45 * 2**35
 
 class TestWideBlocks:
     # Wide walks (wraps from 2**30 to below 2**48) with a bound above
-    # _WIDE_BLOCK_MIN_STEPS also run in blocks, whose products can pass
+    # _BLOCK_MIN_STEPS also run in blocks, whose products can pass
     # 2**63; each answer must be the loop's.
     @settings(max_examples=250, deadline=None)
     @given(st.data())
@@ -1103,7 +1111,7 @@ class TestWideBlocks:
         wraps = st.one_of(
             st.integers(W30, _BLOCK_WRAP - 1), st.integers(22, 39).map(lambda b: 360 << b)
         )
-        walk = _block_walk(data, wraps, W30, _BLOCK_WRAP, _WIDE_BLOCK_MIN_STEPS, 3000)
+        walk = _block_walk(data, wraps, W30, _BLOCK_WRAP, _BLOCK_MIN_STEPS, 3000)
         x, acc, target, tol, wrap, max_steps, trail, cycle = walk
         _checked_block_walk(x, acc, target - tol, target + tol, wrap, max_steps, trail, cycle)
 

@@ -28,15 +28,15 @@ turns into a float changes the digest.
 The ``records`` line hashes these.  The ``orbits`` line hashes, for each
 distinct (p, x) of the instances above, the trail and the full return of
 the integer-field orbit walk ``_walk_int(x, x, 1, 0, p, p - 1, trail)``,
-the orbit that exhaustive verify reads; the walks with p above 1,089 that
-pass the 64-step head, 1,217 of the 3,741, fill their trails in numpy
+the orbit that exhaustive verify reads; the walks with p above 321 that
+pass the 64-step head, 1,396 of the 3,741, fill their trails in numpy
 blocks.  The ``walks`` line hashes the full
 return of 4,000 seeded integer walks with wraps below 2**30, whose hits and
 ends fall on each side of the step counts where the integer kernel moves
-from its loop to numpy blocks and from one block to the next.  The ``wide``
-line does the same for 3,000 seeded walks with wraps from 2**30 to past
-2**48 (fixed-point wraps 360 << b among them), whose hits and ends also fall
-on each side of the shorter bound from which wide walks enter blocks.
+from its loop to numpy blocks (a 64-step head in walks with bounds past 320
+steps) and from one block to the next.  The ``wide`` line does the same for
+3,000 seeded walks with wraps from 2**30 to past 2**48 (fixed-point wraps
+360 << b among them), where blocks stop.
 
 The ``cli`` line hashes ``CLI_CALLS``, in-process ``arcrotor.cli.main``
 calls: solve in every algo and mode, verify, sweeps and precision scans in
@@ -168,9 +168,9 @@ def _orbit_records():
 def _walk_records():
     rng = random.Random(SEED + 3)
     # hits and ends on each side of where the integer kernel's loop hands
-    # over to blocks (64 steps, in walks with bounds from 1,089 steps on), and
+    # over to blocks (64 steps, in walks with bounds from 321 steps on), and
     # of blocks of 1,024 and 2,048 values
-    edges = (1, 2, 63, 64, 65, 66, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
+    edges = (1, 2, 63, 64, 65, 66, 319, 320, 321, 322, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
     for _ in range(4000):
         wrap = rng.choice((rng.randrange(2, 5000), rng.randrange(2, 2**30)))
         x = rng.randrange(1, 2 * wrap)
@@ -184,8 +184,7 @@ def _walk_records():
 
 def _wide_records():
     rng = random.Random(SEED + 4)
-    # as in _walk_records, plus both sides of 320 steps, the bound above
-    # which wide walks enter blocks; wraps near 2**48, where blocks stop
+    # as in _walk_records; wraps near 2**48, where blocks stop
     edges = (1, 2, 63, 64, 65, 66, 319, 320, 321, 322, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
     for _ in range(3000):
         wrap = rng.choice(
