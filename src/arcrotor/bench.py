@@ -396,12 +396,13 @@ def precision_scan(
     oracle's least k (missing answers included).  By default the scan stops
     after the first failing p (completing that p's samples, and generating
     nothing past it); pass ``stop_at_first_failure=False`` for a full failure
-    census up to p_max.  The flag must be a bool (numpy's too).
+    census up to p_max.  p_min must be a whole number (what ``operator.index``
+    takes), and the flag a bool (numpy's too).
     """
     if not isinstance(stop_at_first_failure, (bool, np.bool_)):
         raise ValueError(f"stop_at_first_failure must be a bool, got {stop_at_first_failure!r}")
     cfg = SweepConfig(
-        max(p_min, 3), p_max, samples_per_p, seed,
+        max(_whole(p_min, "p_min"), 3), p_max, samples_per_p, seed,
         prime_only=False, algo="rotor-real", mode=mode, tolerance=tolerance,
     )
     if mode.is_exact:
@@ -478,7 +479,7 @@ def emit_results(payload, format: str, path) -> None:
     row always present; JSON mirrors the same field names.  I/O failures
     surface as ``EmitError`` with the destination path in the message.
     """
-    fmt = format.lower()
+    fmt = format.lower() if isinstance(format, str) else None
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     # Each payload gives its JSON document, CSV header and CSV rows (as dicts).

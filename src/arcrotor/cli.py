@@ -3,7 +3,8 @@
 Every command prints a single JSON object to stdout (diagnostics go to
 stderr) so output is machine-readable end to end.  Exit codes: 0 success
 (or solution found), 1 no solution / mismatches found, 2 usage error,
-3 unwritable output destination.
+3 unwritable output destination.  A handler returns 0 or 1; ``main`` alone
+maps an exception to 2 (a ``ValueError``) or 3 (an ``EmitError``).
 """
 
 from __future__ import annotations
@@ -32,14 +33,6 @@ _DEFAULT_SEED = 1
 # Library fields set by a flag of another name, and their "field=value" mentions.
 _FLAG_OF_FIELD = {"p_min": "--p-min", "p_max": "--p-max", "samples_per_p": "--samples"}
 _FIELD_RE = re.compile(rf"\b({'|'.join(_FLAG_OF_FIELD)})\b(?:=([^,\s]+))?")
-
-
-class CliError(RuntimeError):
-    """CLI failure with an explicit process exit code."""
-
-    def __init__(self, message: str, exit_code: int = 2) -> None:
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 def _mode_arg(text: str) -> NumericMode:
@@ -148,9 +141,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.handler(args))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    except EmitError as exc:
+        message, code = str(exc), 3
+    except ValueError as exc:
+        message, code = _usage_error(exc, args), 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def cli_entrypoint() -> None:
@@ -164,13 +160,14 @@ def _emit_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
-# Library checks word their messages to start with the offending field's
-# name, so every handler turns a ValueError into a usage error through
-# _usage_error, which names the flag the user typed.
+# A handler returns its exit code, 0 or 1, and raises on failure; main maps
+# an EmitError to 3 and a ValueError to 2, with _usage_error's text.  Library
+# checks word their messages to start with the offending field's name, so
+# that text names the flag the user typed.
 
 
-def _usage_error(exc: ValueError, args: argparse.Namespace) -> CliError:
-    """A library ValueError as exit 2, naming flags and the values as typed.
+def _usage_error(exc: ValueError, args: argparse.Namespace) -> str:
+    """A library ValueError's message for exit 2, naming flags and the values as typed.
 
     A value the library checked in another form (precision-scan raises
     --p-min to 3) is reported as typed, followed by the value checked.
@@ -184,7 +181,7 @@ def _usage_error(exc: ValueError, args: argparse.Namespace) -> CliError:
         return f"{flag} {typed}" + ("" if typed == match[2] else f" (checked as {match[2]})")
 
     message = _FIELD_RE.sub(as_flag, str(exc))
-    return CliError(message if message.startswith("--") else f"--{message}")
+    return message if message.startswith("--") else f"--{message}"
 
 
 def _solve_payload(report: SolveReport) -> dict:
@@ -193,11 +190,8 @@ def _solve_payload(report: SolveReport) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst = DlogInstance(args.p, args.x, args.y)
-        check_solver_options(args.algo, args.mode, args.tolerance)
-    except ValueError as exc:
-        raise _usage_error(exc, args) from exc
+    inst = DlogInstance(args.p, args.x, args.y)
+    check_solver_options(args.algo, args.mode, args.tolerance)
     report = bench.solve(args.algo, inst, args.mode, args.tolerance)
     _emit_json(_solve_payload(report))
     return 0 if report.found else 1
@@ -205,8 +199,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.p_max <= _VERIFY_P_MAX_LIMIT:
-        raise CliError(
-            f"--p-max must lie in [2, {_VERIFY_P_MAX_LIMIT}] "
+        raise ValueError(
+            f"p_max must lie in [2, {_VERIFY_P_MAX_LIMIT}] "
             f"(guard against runaway runs), got {args.p_max}"
         )
     result = bench.verify_equivalence(args.p_max)
@@ -215,25 +209,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg = SweepConfig(
-            p_min=args.p_min,
-            p_max=args.p_max,
-            samples_per_p=args.samples,
-            seed=args.seed,
-            prime_only=args.prime_only,
-            algo=args.algo,
-            mode=args.mode,
-            tolerance=args.tolerance,
-        )
-    except ValueError as exc:
-        raise _usage_error(exc, args) from exc
-
+    cfg = SweepConfig(
+        p_min=args.p_min,
+        p_max=args.p_max,
+        samples_per_p=args.samples,
+        seed=args.seed,
+        prime_only=args.prime_only,
+        algo=args.algo,
+        mode=args.mode,
+        tolerance=args.tolerance,
+    )
     records = bench.run_sweep(cfg)
-    try:
-        bench.emit_results(records, args.format, args.out)
-    except EmitError as exc:
-        raise CliError(str(exc), exit_code=3) from exc
+    bench.emit_results(records, args.format, args.out)
 
     aggregate = "median" if args.median else "mean"
     # Instances answered by the k=0/k=1 pre-checks cost zero ops and cannot
@@ -278,22 +265,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_precision_scan(args: argparse.Namespace) -> int:
-    try:
-        report = bench.precision_scan(
-            mode=args.mode,
-            tolerance=args.tolerance,
-            p_max=args.p_max,
-            samples_per_p=args.samples,
-            seed=args.seed,
-            p_min=args.p_min,
-            stop_at_first_failure=not args.scan_all,
-        )
-    except ValueError as exc:
-        raise _usage_error(exc, args) from exc
-    try:
-        bench.emit_results(report, args.format, args.out)
-    except EmitError as exc:
-        raise CliError(str(exc), exit_code=3) from exc
+    report = bench.precision_scan(
+        mode=args.mode,
+        tolerance=args.tolerance,
+        p_max=args.p_max,
+        samples_per_p=args.samples,
+        seed=args.seed,
+        p_min=args.p_min,
+        stop_at_first_failure=not args.scan_all,
+    )
+    bench.emit_results(report, args.format, args.out)
 
     payload = scan_as_dict(report)
     del payload["census"]  # full census lives in the output file

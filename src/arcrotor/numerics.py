@@ -100,7 +100,7 @@ def parse_mode(text: str) -> NumericMode:
         return EXACT
     if text == "float64":
         return FLOAT64_DEGREES
-    if text.startswith("fixed:"):
+    if isinstance(text, str) and text.startswith("fixed:"):
         bits = text[len("fixed:") :]
         if not (bits.isascii() and bits.isdigit()):
             raise ValueError(f"bad fixed-point bit count in mode {text!r}")

@@ -411,6 +411,17 @@ class TestPrecisionScan:
             with pytest.raises(ValueError, match="^tolerance"):
                 precision_scan(FLOAT64_DEGREES, bad, 10, 1, 1)
 
+    @pytest.mark.parametrize("bad", [2.5, "5", None])
+    def test_p_min_not_whole_rejected(self, bad):
+        # 2.5 ran as 3 (raised before it was checked); "5" and None raised TypeError
+        with pytest.raises(ValueError, match=r"^p_min must be a whole number"):
+            precision_scan(FLOAT64_DEGREES, None, 10, 1, 1, p_min=bad)
+
+    def test_numpy_p_min_is_raised_to_three(self):
+        got = precision_scan(FLOAT64_DEGREES, None, 10, 1, 1, p_min=np.int64(2))
+        assert got == precision_scan(FLOAT64_DEGREES, None, 10, 1, 1)
+        assert got.p_min == 3 and got.buckets[0].p == 3
+
     def test_numpy_float_tolerance_emits_as_json(self, tmp_path):
         report = precision_scan(
             FLOAT64_DEGREES, np.float32(0.5), 30, 2, 1, stop_at_first_failure=False
@@ -621,6 +632,13 @@ class TestEmitResults:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], "xml", tmp_path / "x.xml")
+
+    def test_format_not_a_string_rejected(self, tmp_path):
+        # None.lower() raised AttributeError
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=r"^format must be 'csv' or 'json', got None$"):
+            emit_results([], None, path)
+        assert not path.exists()
 
     def test_unknown_payload_rejected(self, tmp_path):
         with pytest.raises(TypeError):

@@ -157,14 +157,13 @@ class TestVerify:
         assert len(payload["examples"]) == 10
         assert payload["examples"][0] == "rotor-int p=2 x=1 y=1: got 2, oracle 0"
 
+    GUARD = "error: --p-max must lie in [2, 500] (guard against runaway runs), got {}\n"
+
     def test_guard_against_huge_runs(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--p-max", "1000")
-        assert code == 2
-        assert "--p-max" in err
+        assert run_cli(capsys, "verify", "--p-max", "1000") == (2, "", self.GUARD.format(1000))
 
     def test_guard_lower_bound(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--p-max", "1")
-        assert code == 2
+        assert run_cli(capsys, "verify", "--p-max", "1") == (2, "", self.GUARD.format(1))
 
 
 class TestSweep:
@@ -240,6 +239,25 @@ class TestSweep:
         )
         assert code == 3
         assert "cannot write" in err
+
+    def test_value_error_past_validation_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # main maps any ValueError from a handler to exit 2, naming flags as typed
+        def failing_sweep(cfg):
+            raise ValueError(f"p_max is too large here, got p_max={cfg.p_max}")
+
+        monkeypatch.setattr(bench, "run_sweep", failing_sweep)
+        code, out, err = run_cli(
+            capsys, "sweep", "--p-min", "5", "--p-max", "10", "--out", str(tmp_path / "s.csv")
+        )
+        assert (code, out, err) == (2, "", "error: --p-max is too large here, got --p-max 10\n")
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        def failing_sweep(cfg):
+            raise RuntimeError("not a usage error")
+
+        monkeypatch.setattr(bench, "run_sweep", failing_sweep)
+        with pytest.raises(RuntimeError, match="not a usage error"):
+            main(["sweep", "--p-min", "5", "--p-max", "10", "--out", str(tmp_path / "s.csv")])
 
     def test_tiny_sweep_reports_missing_fit(self, capsys, tmp_path):
         # a single modulus cannot span four distinct n values

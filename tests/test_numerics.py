@@ -85,6 +85,11 @@ class TestNumericMode:
         with pytest.raises(ValueError, match="^bad fixed-point bit count in mode"):
             parse_mode(text)
 
+    def test_mode_text_not_a_string_rejected(self):
+        # None.startswith raised AttributeError
+        with pytest.raises(ValueError, match=r"^unknown numeric mode None \(expected"):
+            parse_mode(None)
+
     def test_default_tolerance(self):
         assert default_tolerance(EXACT, 373) == 0.0
         assert default_tolerance(FLOAT64_DEGREES, 360) == 0.5

@@ -31,7 +31,7 @@ from arcrotor import (
     rotor_solve_real,
     rotor_step,
 )
-from arcrotor.bench import _rotor_ks
+from arcrotor.bench import _rotor_ks, is_prime
 from arcrotor.cli import _solve_payload
 from arcrotor.rotor import (
     _BLOCK_HEAD,
@@ -355,6 +355,87 @@ class TestRotorSolveInt:
         # per-step wraps: 0, 5, 11, 7
         assert report.counters.subtractions == 23
         assert report.counters.outer_steps == 4
+
+
+def _largest_primitive_root(p):
+    """The largest g < p whose powers give every unit mod the prime p (trial division of p - 1)."""
+    factors, n, q = set(), p - 1, 2
+    while q * q <= n:
+        while n % q == 0:
+            factors.add(q)
+            n //= q
+        q += 1
+    factors |= {n} - {1}
+    return next(
+        g for g in range(p - 1, 0, -1) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    )
+
+
+def _worst_form(p):
+    """The costliest solve mod a prime p in closed form: (x, y, k, steps, additions, subtractions).
+
+    x = g, the largest primitive root, and y = g**-1 mod p.  The walk's
+    values before its p - 3 steps are x**1 ... x**(p - 3), every unit but 1
+    and g**-1; after them x**2 ... x**(p - 2), every unit but 1 and g.  With
+    S = p * (p - 1) / 2 the sum of the units, the kernel's identity
+    x * (values before) = p * subtractions + (values after) gives the count.
+    """
+    g = _largest_primitive_root(p)
+    g_inv, s = pow(g, -1, p), p * (p - 1) // 2
+    subs, rest = divmod(g * (s - 1 - g_inv) - (s - 1 - g), p)
+    assert rest == 0
+    return g, g_inv, p - 2, p - 3, (p - 3) * g, subs
+
+
+def _exhaustive_worst(p):
+    """(ops, x, y) of the first costliest (x, y) mod p, read off one orbit trail per x.
+
+    A y first reached at step s costs s * x additions plus the subtractions
+    of the first s steps, (x * a[j-1] - a[j]) / p each; an unreachable y
+    costs the whole walk; y = 1 and y = x cost nothing (the pre-checks).
+    """
+    worst = (-1, 0, 0)
+    for x in range(1, p):
+        trail = []
+        _, steps, subs, _ = _walk_int(x, x, 1, 0, p, p - 1, trail)
+        values = np.array([x, *trail], np.int64)
+        subs_after = np.cumsum((x * values[:-1] - values[1:]) // p)
+        assert subs_after[-1] == subs
+        ops = np.full(p, steps * x + subs, np.int64)
+        reached, first = np.unique(values[1:], return_index=True)
+        ops[reached] = x * (first + 1) + subs_after[first]
+        ops[1] = ops[x] = 0
+        y = int(ops[1:].argmax()) + 1
+        if ops[y] > worst[0]:
+            worst = (int(ops[y]), x, y)
+    return worst
+
+
+class TestWorstCase:
+    def test_form_is_the_exhaustive_worst_for_primes_to_500(self):
+        # from p = 7 on; at p = 3 and 5 a non-primitive x's full walk costs more
+        for p in filter(is_prime, range(7, 501)):
+            g, g_inv, _, _, additions, subs = _worst_form(p)
+            assert _exhaustive_worst(p) == (additions + subs, g, g_inv), p
+        assert _exhaustive_worst(5) == (11, 4, 2)  # 4 has order 2: y = 2 is never reached
+        assert _worst_form(5)[4:] == (6, 3)
+
+    @pytest.mark.parametrize("bits", range(7, 25))
+    def test_solve_counts_match_the_form(self, bits):
+        # at the largest prime below 2**bits; W / (p - 1)**2 reads 1.3851 at
+        # p = 127, 1.4996 at 65,521 and 1.5000 from 2**20 on
+        p = next(q for q in range(2**bits - 1, 2, -1) if is_prime(q))
+        x, y, k, steps, additions, subs = _worst_form(p)
+        report = rotor_solve_int(DlogInstance(p, x, y))
+        counts = OpCounters(additions, subs, steps + 2, steps)
+        assert (report.k, report.reason, report.counters) == (k, SolveReason.FOUND, counts)
+        ratio = (additions + subs) / (p - 1) ** 2
+        assert 1.385 < ratio < 1.5 and (bits < 20 or ratio > 1.49995)
+
+    def test_worst_solve_at_4999(self):
+        assert _worst_form(4999)[:2] == (4990, 3888)
+        report = rotor_solve_int(DlogInstance(4999, 4990, 3888))
+        assert report.counters.total_arithmetic == 37_393_670
 
 
 class TestRotorStep:
@@ -1149,6 +1230,18 @@ class TestWideBlocks:
         _checked_block_walk(x, acc, 1, 0, F32, 2000)
         assert block_calls and not float_calls
 
+    @pytest.mark.parametrize(
+        "bits,low,high,entered",
+        [(32, 1090, 1100, 12023), (39, 1096, 1100, 5480)],  # of 12,034 and 5,485 walks
+    )
+    def test_fixed_point_orbits_match_an_int64_table(self, block_calls, bits, low, high, entered):
+        # every x of every p in [low, high], composites included: a walk from
+        # x * theta_raw with no hit and the bound p - 1, past _BLOCK_MIN_STEPS,
+        # runs in wide blocks once it passes the head
+        assert low - 1 > _BLOCK_MIN_STEPS and (360 << bits) < _BLOCK_WRAP
+        walks = sum(_check_fixed_window(p, bits, block_calls) for p in range(low, high + 1))
+        assert walks == entered
+
     def test_fixed32_solve_past_the_carrier_guard(self, float_calls, block_calls):
         # (p - 1) * F32 passes 2**53 from p = 5827 on: an int head, then blocks
         inst, mode = DlogInstance(5827, 2, 3), fixed_point(32)
@@ -1156,6 +1249,38 @@ class TestWideBlocks:
         assert (report.k, report.reason, report.counters) == _literal_int_solve(inst, mode, None)
         assert report.reason is SolveReason.EXHAUSTED_ITERATIONS
         assert block_calls and not float_calls
+
+
+def _check_fixed_window(p, bits, block_calls):
+    """Check every fixed-point orbit mod p against an int64 table; returns the walks in blocks.
+
+    The table needs no rotor code: theta_raw = round(360 * 2**bits / p),
+    the start of row x - 1 is x * theta_raw, and step s maps a to
+    x * a mod 360 * 2**bits, 0 read as the wrap; every product is below
+    2**63.  Step s subtracts (x * a[s-1] - a[s]) / wrap times.  A walk stops
+    at its first return to its start or after p - 1 steps.
+    """
+    wrap = 360 << bits
+    xs = np.arange(1, p, dtype=np.int64)
+    table = np.empty((p - 1, p), np.int64)
+    table[:, 0] = xs * round(Fraction(wrap, p))
+    for s in range(1, p):
+        step = table[:, s - 1] * xs % wrap
+        table[:, s] = np.where(step == 0, wrap, step)
+    subs = np.cumsum((xs[:, None] * table[:, :-1] - table[:, 1:]) // wrap, axis=1)
+    back = table[:, 1:] == table[:, :1]  # [x - 1, s - 1]: back at the start at step s
+    stops = np.where(back.any(axis=1), back.argmax(axis=1) + 1, p - 1).tolist()
+    entered = 0
+    for x, s in enumerate(stops, 1):
+        calls, trail = len(block_calls), []
+        got = _walk_int(x, int(table[x - 1, 0]), 1, 0, wrap, p - 1, trail)
+        cycle = back[x - 1, s - 1]
+        reason = SolveReason.CYCLE_DETECTED if cycle else SolveReason.EXHAUSTED_ITERATIONS
+        assert got == (int(table[x - 1, s]), s, int(subs[x - 1, s - 1]), reason), (p, x)
+        assert trail == table[x - 1, 1 : s + 1].tolist(), (p, x)
+        assert (len(block_calls) > calls) == (s > _BLOCK_HEAD), (p, x)
+        entered += s > _BLOCK_HEAD
+    return entered
 
 
 def _float_fold(acc, x):

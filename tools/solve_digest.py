@@ -165,42 +165,52 @@ def _orbit_records():
         yield _typed([*walk, *trail])
 
 
-def _walk_records():
-    rng = random.Random(SEED + 3)
-    # hits and ends on each side of where the integer kernel's loop hands
-    # over to blocks (64 steps, in walks with bounds from 321 steps on), and
-    # of blocks of 1,024 and 2,048 values
-    edges = (1, 2, 63, 64, 65, 66, 319, 320, 321, 322, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
-    for _ in range(4000):
-        wrap = rng.choice((rng.randrange(2, 5000), rng.randrange(2, 2**30)))
-        x = rng.randrange(1, 2 * wrap)
+# Hits and ends on each side of where the integer kernel's loop hands over
+# to blocks (64 steps, in walks with bounds from 321 steps on), and of
+# blocks of 1,024 and 2,048 values.
+_EDGES = (1, 2, 63, 64, 65, 66, 319, 320, 321, 322, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
+
+
+def _seeded_walks(seed, count, draw_wrap, draw_x, top):
+    """``count`` seeded walks: the wrap and x from their draws, bound and hit step below ``top``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        wrap = draw_wrap(rng)
+        x = draw_x(rng, wrap)
         acc = rng.choice((rng.randrange(1, wrap + 1), rng.randrange(0, 3 * wrap + 1)))
-        max_steps = rng.choice(edges + (rng.randrange(0, 6000),))
-        s = rng.choice(edges + (rng.randrange(1, 6000),))
+        max_steps = rng.choice(_EDGES + (rng.randrange(0, top),))
+        s = rng.choice(_EDGES + (rng.randrange(1, top),))
         target = rng.choice((acc * pow(x, s, wrap) % wrap or wrap, rng.randrange(0, wrap + 1)))
         tol = rng.choice((0, -1, 1, wrap // 2000))
         yield _typed(_walk_int(x, acc, target - tol, target + tol, wrap, max_steps))
 
 
+def _walk_records():
+    # wraps below 2**30
+    def wraps(rng):
+        return rng.choice((rng.randrange(2, 5000), rng.randrange(2, 2**30)))
+
+    def xs(rng, wrap):
+        return rng.randrange(1, 2 * wrap)
+
+    return _seeded_walks(SEED + 3, 4000, wraps, xs, 6000)
+
+
 def _wide_records():
-    rng = random.Random(SEED + 4)
-    # as in _walk_records; wraps near 2**48, where blocks stop
-    edges = (1, 2, 63, 64, 65, 66, 319, 320, 321, 322, 1087, 1088, 1089, 1090, 3135, 3136, 3137)
-    for _ in range(3000):
-        wrap = rng.choice(
+    # wraps from 2**30 to past 2**48, where blocks stop, fixed-point ones among them
+    def wraps(rng):
+        return rng.choice(
             (
                 360 << rng.randrange(22, 40),
                 2**48 + rng.randrange(-(2**10), 2**10),
                 rng.randrange(2**30, 2**48),
             )
         )
-        x = rng.choice((rng.randrange(1, 40), rng.randrange(1, 2 * wrap)))
-        acc = rng.choice((rng.randrange(1, wrap + 1), rng.randrange(0, 3 * wrap + 1)))
-        max_steps = rng.choice(edges + (rng.randrange(0, 4000),))
-        s = rng.choice(edges + (rng.randrange(1, 4000),))
-        target = rng.choice((acc * pow(x, s, wrap) % wrap or wrap, rng.randrange(0, wrap + 1)))
-        tol = rng.choice((0, -1, 1, wrap // 2000))
-        yield _typed(_walk_int(x, acc, target - tol, target + tol, wrap, max_steps))
+
+    def xs(rng, wrap):
+        return rng.choice((rng.randrange(1, 40), rng.randrange(1, 2 * wrap)))
+
+    return _seeded_walks(SEED + 4, 3000, wraps, xs, 4000)
 
 
 # Output paths are relative: each call runs in its own temporary directory.
