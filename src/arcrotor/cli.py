@@ -2,9 +2,9 @@
 
 Every command prints a single JSON object to stdout (diagnostics go to
 stderr) so output is machine-readable end to end.  Exit codes: 0 success
-(or solution found), 1 no solution / mismatches found, 2 usage error,
-3 unwritable output destination.  A handler returns 0 or 1; ``main`` alone
-maps an exception to 2 (a ``ValueError``) or 3 (an ``EmitError``).
+(or solution found), 1 no solution / mismatches found, 2 usage error, 3
+unwritable output destination.  A handler returns 0 or 1; ``main`` alone
+maps a ``ValueError`` naming a command field to 2, an ``EmitError`` to 3.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         message, code = str(exc), 3
     except ValueError as exc:
         message, code = _usage_error(exc, args), 2
+        if message is None:
+            raise
     print(f"error: {message}", file=sys.stderr)
     return code
 
@@ -163,14 +165,15 @@ def _emit_json(payload: dict) -> None:
 # A handler returns its exit code, 0 or 1, and raises on failure; main maps
 # an EmitError to 3 and a ValueError to 2, with _usage_error's text.  Library
 # checks word their messages to start with the offending field's name, so
-# that text names the flag the user typed.
+# that text names the flag the user typed; one naming no field propagates.
 
 
-def _usage_error(exc: ValueError, args: argparse.Namespace) -> str:
+def _usage_error(exc: ValueError, args: argparse.Namespace) -> str | None:
     """A library ValueError's message for exit 2, naming flags and the values as typed.
 
     A value the library checked in another form (precision-scan raises
-    --p-min to 3) is reported as typed, followed by the value checked.
+    --p-min to 3) is reported as typed, followed by the value checked.  None
+    when the message does not start with a field of the command.
     """
 
     def as_flag(match: re.Match) -> str:
@@ -181,7 +184,9 @@ def _usage_error(exc: ValueError, args: argparse.Namespace) -> str:
         return f"{flag} {typed}" + ("" if typed == match[2] else f" (checked as {match[2]})")
 
     message = _FIELD_RE.sub(as_flag, str(exc))
-    return message if message.startswith("--") else f"--{message}"
+    if message.startswith("--"):
+        return message
+    return f"--{message}" if message.partition(" ")[0] in vars(args) else None
 
 
 def _solve_payload(report: SolveReport) -> dict:

@@ -5,11 +5,12 @@ three-argument ``pow`` for exponentiation), deliberately sharing no code
 path with the rotor solvers' repeated-addition arithmetic.  ``naive_solve`` scans successive
 powers; ``bsgs_solve`` is the standard meet-in-the-middle solver.  Both
 return the least exponent, with k = 0 answering y = 1.
+``multiplicative_order`` is one BSGS solve: the order of x is one more
+than the least k with x^k = x^-1.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .numerics import _whole
@@ -54,50 +55,6 @@ def naive_solve(inst: DlogInstance) -> int | None:
     return None
 
 
-@lru_cache(maxsize=65536)
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorisation by trial division; fine for desk-scale inputs."""
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return tuple(factors)
-
-
-def _euler_phi(n: int) -> int:
-    phi = 1
-    for q, e in _factorize(n):
-        phi *= q ** (e - 1) * (q - 1)
-    return phi
-
-
-@lru_cache(maxsize=65536)
-def multiplicative_order(x: int, p: int) -> int:
-    """Least t >= 1 with x^t = 1 (mod p); requires gcd(x, p) = 1.
-
-    Starts from Euler's phi(p), which the order divides, and strips prime
-    factors while the corresponding power still fixes 1.
-    """
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    x %= p
-    if gcd(x, p) != 1:
-        raise NotAUnitError(f"{x} is not a unit mod {p} (gcd != 1)")
-    t = _euler_phi(p)
-    for q, _ in _factorize(t):
-        while t % q == 0 and pow(x, t // q, p) == 1:
-            t //= q
-    return t
-
-
 def bsgs_solve(inst: DlogInstance) -> int | None:
     """Least k with x^k = y (mod p) by baby-step giant-step, or None.
 
@@ -124,3 +81,18 @@ def bsgs_solve(inst: DlogInstance) -> int | None:
             return i * m + j
         gamma = gamma * inv_xm % p
     return None
+
+
+def multiplicative_order(x: int, p: int) -> int:
+    """Least t >= 1 with x^t = 1 (mod p); requires gcd(x, p) = 1.
+
+    One BSGS solve, so about sqrt(p) time and table memory: for a unit of
+    order t, the least k with x^k = x^-1 is t - 1 < p.  Takes whole numbers.
+    """
+    x, p = _whole(x, "x"), _whole(p, "modulus")
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
+    x %= p
+    if gcd(x, p) != 1:
+        raise NotAUnitError(f"{x} is not a unit mod {p} (gcd != 1)")
+    return 1 + bsgs_solve(DlogInstance(p, x, pow(x, -1, p)))

@@ -251,6 +251,15 @@ class TestSweep:
         )
         assert (code, out, err) == (2, "", "error: --p-max is too large here, got --p-max 10\n")
 
+    def test_value_error_naming_no_field_propagates(self, tmp_path, monkeypatch):
+        # an internal invariant's ValueError is not a usage error: no "--k" flag exists
+        def broken_sweep(cfg):
+            return [SolveReport(None, SolveReason.FOUND, OpCounters())]
+
+        monkeypatch.setattr(bench, "run_sweep", broken_sweep)
+        with pytest.raises(ValueError, match="^k must be present"):
+            main(["sweep", "--p-min", "5", "--p-max", "10", "--out", str(tmp_path / "s.csv")])
+
     def test_other_errors_propagate(self, tmp_path, monkeypatch):
         def failing_sweep(cfg):
             raise RuntimeError("not a usage error")

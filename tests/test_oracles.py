@@ -155,13 +155,24 @@ class TestMultiplicativeOrder:
         assert 372 % 62 == 0
 
     def test_not_a_unit(self):
-        with pytest.raises(NotAUnitError):
-            multiplicative_order(6, 9)
-        with pytest.raises(NotAUnitError):
-            multiplicative_order(5, 5)
+        for p in range(2, 121):
+            for x in range(3 * p):
+                if gcd(x, p) != 1:
+                    with pytest.raises(NotAUnitError):
+                        multiplicative_order(x, p)
+
+    def test_numpy_ints_taken_as_ints(self):
+        got = multiplicative_order(np.int64(13), np.int64(373))
+        assert type(got) is int and got == 62
+        assert multiplicative_order(3, np.int64(7)) == multiplicative_order(np.int32(3), 7) == 6
+
+    @pytest.mark.parametrize("args,name", [((3.0, 7), "x"), ((3, 7.0), "modulus")])
+    def test_non_whole_arguments_rejected(self, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+            multiplicative_order(*args)
 
     def test_order_is_least(self):
-        for p in (7, 31, 97, 360):
+        for p in (*range(2, 121), 360):
             for x in range(1, p):
                 if gcd(x, p) != 1:
                     continue

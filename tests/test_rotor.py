@@ -420,7 +420,7 @@ class TestWorstCase:
         assert _exhaustive_worst(5) == (11, 4, 2)  # 4 has order 2: y = 2 is never reached
         assert _worst_form(5)[4:] == (6, 3)
 
-    @pytest.mark.parametrize("bits", range(7, 25))
+    @pytest.mark.parametrize("bits", range(7, 27))
     def test_solve_counts_match_the_form(self, bits):
         # at the largest prime below 2**bits; W / (p - 1)**2 reads 1.3851 at
         # p = 127, 1.4996 at 65,521 and 1.5000 from 2**20 on
