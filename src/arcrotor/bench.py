@@ -592,12 +592,12 @@ def verify_equivalence(p_max: int) -> EquivalenceResult:
     mismatches = 0
     examples: list[str] = []
 
-    def check(label: str, p: int, x: int, y: int, got, want) -> None:
+    # Called only on a mismatch: a call per check costs verify's small instances.
+    def mismatch(label: str, p: int, x: int, y: int, got, want) -> None:
         nonlocal mismatches
-        if got != want:
-            mismatches += 1
-            if len(examples) < _EXAMPLE_LIMIT:
-                examples.append(f"{label} p={p} x={x} y={y}: got {got}, oracle {want}")
+        mismatches += 1
+        if len(examples) < _EXAMPLE_LIMIT:
+            examples.append(f"{label} p={p} x={x} y={y}: got {got}, oracle {want}")
 
     for p in range(2, p_max + 1):
         for x in range(1, p):
@@ -606,7 +606,9 @@ def verify_equivalence(p_max: int) -> EquivalenceResult:
             orbit_ks = _rotor_ks(p, x)
             if orbit_ks != expected:
                 for y in range(1, p):
-                    check("rotor-orbit", p, x, y, orbit_ks.get(y), expected.get(y))
+                    got, want = orbit_ks.get(y), expected.get(y)
+                    if got != want:
+                        mismatch("rotor-orbit", p, x, y, got, want)
 
             if p <= _EVERY_INSTANCE_P_MAX:
                 ys = range(1, p)
@@ -617,8 +619,14 @@ def verify_equivalence(p_max: int) -> EquivalenceResult:
             for y in ys:
                 inst = DlogInstance(p, x, y)
                 want = expected.get(y)
-                check("rotor-int", p, x, y, rotor_solve_int(inst).k, want)
-                check("naive", p, x, y, naive_solve(inst), want)
+                got = rotor_solve_int(inst).k
+                if got != want:
+                    mismatch("rotor-int", p, x, y, got, want)
+                got = naive_solve(inst)
+                if got != want:
+                    mismatch("naive", p, x, y, got, want)
                 if x_is_unit:
-                    check("bsgs", p, x, y, bsgs_solve(inst), want)
+                    got = bsgs_solve(inst)
+                    if got != want:
+                        mismatch("bsgs", p, x, y, got, want)
     return EquivalenceResult(p_max, instances, mismatches, tuple(examples))

@@ -61,20 +61,26 @@ def bsgs_solve(inst: DlogInstance) -> int | None:
     Requires gcd(x, p) = 1; otherwise falls back to ``naive_solve``.  The
     search covers k < p, past every least k (the orbit of a unit closes
     within p - 1 steps), in m = ceil(sqrt(p)) baby and giant steps.  Baby
-    steps keep the smallest index per residue and giant steps ascend, so
-    the first hit is the least exponent.
+    steps stop once the orbit closes (a unit's powers are distinct until
+    then, so the table is the orbit at least exponents); else giant steps
+    ascend, so the first hit is the least exponent.  A unit x with
+    p > 2**44 (over 2**22 table entries) raises ValueError.
     """
     p, x, y = inst.p, inst.x, inst.y
     if gcd(x, p) != 1:
         return naive_solve(inst)
+    if p > 2**44:  # ceil(sqrt(p)) would pass 2**22 table entries
+        raise ValueError(f"p must be at most 2**44 for the bsgs table, got p={p}")
     m = isqrt(p - 1) + 1
     table: dict[int, int] = {}  # value -> least baby-step index j in [0, m)
     acc = 1
     for j in range(m):
-        table.setdefault(acc, j)
+        table[acc] = j
         acc = acc * x % p
-    inv_xm = pow(pow(x, -1, p), m, p)
-    gamma = y % p
+        if acc == 1:
+            return table.get(y)
+    inv_xm = pow(x, -m, p)
+    gamma = y
     for i in range((p + m - 1) // m):
         j = table.get(gamma)
         if j is not None:
@@ -86,8 +92,9 @@ def bsgs_solve(inst: DlogInstance) -> int | None:
 def multiplicative_order(x: int, p: int) -> int:
     """Least t >= 1 with x^t = 1 (mod p); requires gcd(x, p) = 1.
 
-    One BSGS solve, so about sqrt(p) time and table memory: for a unit of
-    order t, the least k with x^k = x^-1 is t - 1 < p.  Takes whole numbers.
+    One BSGS solve (at most about sqrt(p) time and table memory; p > 2**44
+    raises): for a unit of order t, the least k with x^k = x^-1 is
+    t - 1 < p.  Takes whole numbers.
     """
     x, p = _whole(x, "x"), _whole(p, "modulus")
     if p < 2:

@@ -83,6 +83,10 @@ class SolveReason(str, Enum):
     CYCLE_DETECTED = "CycleDetected"
 
 
+# Bound once, in definition order: a lookup on the Enum costs each small solve.
+_FOUND, _EXHAUSTED, _CYCLE = SolveReason
+
+
 @dataclass(frozen=True)
 class RotorState:
     """Loop state of one rotor solve, in the native units of its mode.
@@ -106,12 +110,12 @@ class SolveReport:
     counters: OpCounters
 
     def __post_init__(self) -> None:
-        if (self.reason is SolveReason.FOUND) != (self.k is not None):
+        if (self.reason is _FOUND) != (self.k is not None):
             raise ValueError("k must be present exactly when the reason is Found")
 
     @property
     def found(self) -> bool:
-        return self.reason is SolveReason.FOUND
+        return self.reason is _FOUND
 
     @property
     def steps(self) -> int:
@@ -214,7 +218,7 @@ def _walk_int(
     if wide:
         x, acc, lo, hi, wrap = float(x), float(acc), float(lo), float(hi), float(wrap)
         cycle = float(cycle)
-    steps, reason = max_steps, SolveReason.EXHAUSTED_ITERATIONS
+    steps, reason = max_steps, _EXHAUSTED
     for steps in range(1, head + 1):
         acc *= x
         if acc > wrap:
@@ -223,16 +227,16 @@ def _walk_int(
         if trail is not None:
             trail.append(acc)
         if lo <= acc <= hi:
-            reason = SolveReason.FOUND
+            reason = _FOUND
             break
         if acc == cycle:
-            reason = SolveReason.CYCLE_DETECTED
+            reason = _CYCLE
             break
     if wide:
         x, acc, cycle, total, wrap, lo, hi = map(int, (x, acc, cycle, total, wrap, lo, hi))
         if trail is not None:  # the loop appended `steps` carriers
             trail[len(trail) - steps :] = map(int, trail[len(trail) - steps :])
-    if head < max_steps and reason is SolveReason.EXHAUSTED_ITERATIONS:
+    if head < max_steps and reason is _EXHAUSTED:
         acc, steps, more, reason = _orbit_blocks(x, acc, cycle, lo, hi, wrap, max_steps, trail)
         total += more
     return acc, steps, (x * (start + total - acc) - total) // wrap, reason
@@ -302,10 +306,10 @@ def _orbit_blocks(
         acc = int(values[i])
         steps += i + 1
         if stop[i]:
-            reason = SolveReason.FOUND if lo <= acc <= hi else SolveReason.CYCLE_DETECTED
+            reason = _FOUND if lo <= acc <= hi else _CYCLE
             return acc, steps, total, reason
         rows = min(2 * rows, _BLOCK_VALUES // _ORBIT_ROW)
-    return acc, steps, total, SolveReason.EXHAUSTED_ITERATIONS
+    return acc, steps, total, _EXHAUSTED
 
 
 def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_steps: int):
@@ -390,10 +394,10 @@ def _walk_float(x: int, acc: float, target: float, tol: float, wrap: float, max_
                     acc = smaller
                     subs += 1
         if abs(acc - target) <= tol:
-            return acc, steps, subs, SolveReason.FOUND
+            return acc, steps, subs, _FOUND
         if acc == first:
-            return acc, steps, subs, SolveReason.CYCLE_DETECTED
-    return acc, max_steps, subs, SolveReason.EXHAUSTED_ITERATIONS
+            return acc, steps, subs, _CYCLE
+    return acc, max_steps, subs, _EXHAUSTED
 
 
 def _hit_interval(target, tol, D: int, W: int):
@@ -427,11 +431,11 @@ def _solve(inst: DlogInstance, walk, start, a, b, wrap) -> SolveReport:
     # (a, b): the hit test.  The first comparison sees x^2; pre-check k=0, 1.
     x, y = inst.x, inst.y
     if y == 1:
-        return SolveReport(0, SolveReason.FOUND, OpCounters(comparisons=1))
+        return SolveReport(0, _FOUND, OpCounters(comparisons=1))
     if y == x:
-        return SolveReport(1, SolveReason.FOUND, OpCounters(comparisons=2))
+        return SolveReport(1, _FOUND, OpCounters(comparisons=2))
     _, steps, subs, reason = walk(x, start, a, b, wrap, inst.p - 1)
-    k = steps + 1 if reason is SolveReason.FOUND else None
+    k = steps + 1 if reason is _FOUND else None
     return SolveReport(k, reason, OpCounters(steps * x, subs, 2 + steps, steps))
 
 

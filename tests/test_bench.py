@@ -657,7 +657,8 @@ class TestVerifyEquivalence:
         assert result.instances == sum((p - 1) ** 2 for p in range(2, 31))
 
     @pytest.mark.parametrize(
-        "name,label", [("rotor_solve_int", "rotor-int"), ("bsgs_solve", "bsgs")]
+        "name,label",
+        [("rotor_solve_int", "rotor-int"), ("naive_solve", "naive"), ("bsgs_solve", "bsgs")],
     )
     def test_one_wrong_answer_is_one_mismatch(self, monkeypatch, name, label):
         # 3^3 = 6 (mod 7), so the least k is 3; the patched solver answers 4 there

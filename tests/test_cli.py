@@ -68,6 +68,15 @@ class TestSolve:
         assert code == 2
         assert "--p" in err
 
+    def test_bsgs_table_bound_names_flag(self, capsys):
+        # 2**61 - 1 would need a baby-step table of about 1.5e9 entries
+        code, out, err = run_cli(
+            capsys, "solve", "--p", "2305843009213693951", "--x", "3", "--y", "5", "--algo", "bsgs"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--p" in err
+
     def test_bad_mode_string(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--p", "5", "--x", "2", "--y", "3", "--mode", "decimal"

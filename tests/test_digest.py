@@ -5,7 +5,10 @@ trails, the ``walks`` line walks whose hits and ends fall on each side of
 the 64-step head and of the numpy block edges, and the ``wide`` line the
 same for wraps from 2**30 to past 2**48, where blocks stop.  The ``cli``
 line hashes what a fixed set of command-line calls print, return and write,
-``wall_ns`` aside.  The ``records`` line takes over a minute and stays a
+``wall_ns`` aside.  The ``oracles`` line hashes the answers of
+``naive_solve``, ``bsgs_solve`` and ``least_k`` on the digest's instances and
+on units whose orbits close within BSGS's baby steps, and the order of every
+unit with p <= 60.  The ``records`` line takes over a minute and stays a
 manual check (``python tools/solve_digest.py``).
 """
 
@@ -46,4 +49,10 @@ def test_wide_line(solve_digest):
 def test_cli_line(solve_digest):
     assert solve_digest._digest(solve_digest._cli_records()) == (
         "22 sha256 b2b002f5d2c1443a3826137614a42f63f5ff980a3a0c8cb7142019aea11ed633"
+    )
+
+
+def test_oracles_line(solve_digest):
+    assert solve_digest._digest(solve_digest._oracle_records()) == (
+        "73319 sha256 5255c10f1e17f29f53cf8a8bdd84bd3b2d7d858a2981030bd36cbdf1c4b4ff04"
     )

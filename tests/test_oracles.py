@@ -136,6 +136,46 @@ class TestBsgsSolve:
             inst = DlogInstance(373, 13, y)
             assert bsgs_solve(inst) == naive_solve(inst), y
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_orbit_closing_in_the_baby_steps(self, order):
+        # p - 1 has order 2 and 499,501 order 3 mod the prime 1,000,003; both
+        # orbits close within the 1,001 baby steps, and a y outside them has
+        # no k
+        p = 1_000_003
+        x = p - 1 if order == 2 else 499_501
+        orbit = [pow(x, k, p) for k in range(order)]
+        assert len(set(orbit)) == order and pow(x, order, p) == 1
+        for k, y in enumerate(orbit):
+            inst = DlogInstance(p, x, y)
+            assert bsgs_solve(inst) == naive_solve(inst) == k
+        inst = DlogInstance(p, x, 2)
+        assert bsgs_solve(inst) is naive_solve(inst) is None
+
+    @pytest.mark.parametrize("p", [2**44 + 1, 2**61 - 1])
+    def test_table_bound(self, p):
+        # ceil(sqrt(p)) baby steps would pass 2**22 entries: refused before
+        # the table is built, for the order too
+        with pytest.raises(ValueError, match=rf"^p must be at most 2\*\*44 .*got p={p}$"):
+            bsgs_solve(DlogInstance(p, p - 1, 1))
+        with pytest.raises(ValueError, match="^p must be at most 2"):
+            multiplicative_order(3, p)
+
+    def test_non_unit_past_the_table_bound_scans(self):
+        # gcd(2, 2**50) = 2: the naive fallback needs no table
+        p = 2**50
+        assert bsgs_solve(DlogInstance(p, 2, 2**10)) == 10
+        assert bsgs_solve(DlogInstance(p, 2, 3)) is None
+
+    @pytest.mark.parametrize("p", [2**44, 2**44 - 17])
+    def test_order_two_at_the_table_bound(self, p):
+        # 2**44 - 17 is the largest prime below 2**44.  x = p - 1 has order
+        # 2, so its orbit closes after two baby steps of the 2**22
+        x = p - 1
+        assert bsgs_solve(DlogInstance(p, x, 1)) == 0
+        assert bsgs_solve(DlogInstance(p, x, p - 1)) == 1
+        assert bsgs_solve(DlogInstance(p, x, 2)) is None
+        assert multiplicative_order(x, p) == 2
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 3000), st.data())
     def test_agreement_random_larger(self, p, data):

@@ -46,6 +46,11 @@ with relative output paths, and its record holds the stdout, the stderr, the
 exit code and every file written, with the ``wall_ns`` column or field
 dropped.
 
+The ``oracles`` line hashes ``naive_solve``, ``bsgs_solve`` and
+``least_k`` on the instances above and on units of order 2 and 3 mod
+1,000,003 (every y of their orbits and one outside), and
+``multiplicative_order`` of every unit with p <= 60.
+
 Floats are hashed by ``float.hex``, so every bit counts.
 """
 
@@ -58,6 +63,7 @@ import os
 import random
 import sys
 import tempfile
+from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -73,7 +79,8 @@ from arcrotor import (  # noqa: E402
     rotor_solve_real,
     rotor_step,
 )
-from arcrotor import cli  # noqa: E402
+from arcrotor import bsgs_solve, cli, multiplicative_order, naive_solve  # noqa: E402
+from arcrotor.bench import least_k  # noqa: E402
 from arcrotor.rotor import _arc_setup, _walk_float, _walk_int  # noqa: E402
 
 MODES = [fixed_point(b) for b in (8, 16, 24, 32, 40)]
@@ -213,6 +220,22 @@ def _wide_records():
     return _seeded_walks(SEED + 4, 3000, wraps, xs, 4000)
 
 
+# Units of order 2 and 3 mod the prime 1,000,003, whose orbits close within
+# BSGS's 1,001 baby steps: every y of each orbit, and one y outside it.
+_SMALL_ORDER = [
+    (1_000_003, x, y) for x in (1_000_002, 499_501) for y in (1, x, x * x % 1_000_003, 2)
+]
+
+
+def _oracle_records():
+    for inst in (*_instances(), *(DlogInstance(*t) for t in _SMALL_ORDER)):
+        yield _typed([inst.p, inst.x, inst.y, naive_solve(inst), bsgs_solve(inst), least_k(inst)])
+    for p in range(2, 61):
+        for x in range(1, p):
+            if gcd(x, p) == 1:
+                yield _typed([p, x, multiplicative_order(x, p)])
+
+
 # Output paths are relative: each call runs in its own temporary directory.
 _SOLVE = ("solve", "--p", "373", "--x", "13", "--y", "158")
 _SWEEP = ("sweep", "--p-min", "60", "--p-max", "1100", "--samples", "2")
@@ -287,6 +310,7 @@ def main() -> None:
     print(f"walks {_digest(_walk_records())}")
     print(f"wide {_digest(_wide_records())}")
     print(f"cli {_digest(_cli_records())}")
+    print(f"oracles {_digest(_oracle_records())}")
 
 
 if __name__ == "__main__":
