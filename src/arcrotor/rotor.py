@@ -50,7 +50,7 @@ class InvalidInstanceError(ValueError):
     """Raised when a problem triple violates 1 <= x < p, 1 <= y < p, p >= 2."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DlogInstance:
     """A discrete-log problem triple (p, x, y) over the residues mod p.
 
@@ -64,17 +64,26 @@ class DlogInstance:
     x: int
     y: int
 
-    def __post_init__(self) -> None:
-        if not type(self.p) is type(self.x) is type(self.y) is int:
-            for name in ("p", "x", "y"):
-                value = _whole(getattr(self, name), name, InvalidInstanceError)
-                object.__setattr__(self, name, value)
-        if self.p < 2:
-            raise InvalidInstanceError(f"p must be >= 2, got p={self.p}")
-        if not 1 <= self.x < self.p:
-            raise InvalidInstanceError(f"x must satisfy 1 <= x < p, got x={self.x}, p={self.p}")
-        if not 1 <= self.y < self.p:
-            raise InvalidInstanceError(f"y must satisfy 1 <= y < p, got y={self.y}, p={self.p}")
+    # A frozen dataclass's own __init__ stores each field through
+    # object.__setattr__, most of a small solve's object cost; this one checks
+    # locals and stores each field once through its slot's setter, bound below.
+    def __init__(self, p: int, x: int, y: int) -> None:
+        if not type(p) is type(x) is type(y) is int:
+            p = _whole(p, "p", InvalidInstanceError)
+            x = _whole(x, "x", InvalidInstanceError)
+            y = _whole(y, "y", InvalidInstanceError)
+        if p < 2:
+            raise InvalidInstanceError(f"p must be >= 2, got p={p}")
+        if not 1 <= x < p:
+            raise InvalidInstanceError(f"x must satisfy 1 <= x < p, got x={x}, p={p}")
+        if not 1 <= y < p:
+            raise InvalidInstanceError(f"y must satisfy 1 <= y < p, got y={y}, p={p}")
+        _set_p(self, p)
+        _set_x(self, x)
+        _set_y(self, y)
+
+
+_set_p, _set_x, _set_y = (DlogInstance.__dict__[n].__set__ for n in ("p", "x", "y"))
 
 
 class SolveReason(str, Enum):
@@ -101,7 +110,7 @@ class RotorState:
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SolveReport:
     """Outcome of a solve: exponent (if found), termination reason, exact counts."""
 
@@ -109,9 +118,13 @@ class SolveReport:
     reason: SolveReason
     counters: OpCounters
 
-    def __post_init__(self) -> None:
-        if (self.reason is _FOUND) != (self.k is not None):
+    # Stored through its slots' setters, as DlogInstance's fields are.
+    def __init__(self, k: int | None, reason: SolveReason, counters: OpCounters) -> None:
+        if (reason is _FOUND) != (k is not None):
             raise ValueError("k must be present exactly when the reason is Found")
+        _set_k(self, k)
+        _set_reason(self, reason)
+        _set_counters(self, counters)
 
     @property
     def found(self) -> bool:
@@ -121,6 +134,11 @@ class SolveReport:
     def steps(self) -> int:
         """Outer steps walked; 0 for the k=0/1 pre-checks and the oracles."""
         return self.counters.outer_steps
+
+
+_set_k, _set_reason, _set_counters = (
+    SolveReport.__dict__[n].__set__ for n in ("k", "reason", "counters")
+)
 
 
 # ---------------------------------------------------------------------------
