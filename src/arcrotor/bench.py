@@ -17,9 +17,10 @@ import csv
 import json
 import random
 import statistics
+import threading
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import groupby, islice
 from math import gcd
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance
-from .oracles import bsgs_solve, modpow, naive_solve
+from .oracles import bsgs_solve, naive_solve
 from .rotor import (
     DlogInstance,
     SolveReason,
@@ -102,7 +103,7 @@ def least_k(inst: DlogInstance) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GeneratedInstance:
     """A solvable instance plus the exponent that generated it.
 
@@ -113,6 +114,26 @@ class GeneratedInstance:
     instance: DlogInstance
     generating_k: int
 
+    # Stored through its slots' setters, as DlogInstance's fields are.
+    def __init__(self, instance: DlogInstance, generating_k: int) -> None:
+        _set_instance(self, instance)
+        _set_generating_k(self, generating_k)
+
+
+_set_instance, _set_generating_k = (
+    GeneratedInstance.__dict__[f.name].__set__ for f in fields(GeneratedInstance)
+)
+
+
+class _ThreadRandom(threading.local):
+    # One generator per thread, reseeded on every call: building a fresh
+    # Random costs a sweep instance more than seeding one.
+    def __init__(self) -> None:
+        self.rng = random.Random()
+
+
+_thread_random = _ThreadRandom()
+
 
 def generate_instance(p: int, rng_seed: int) -> GeneratedInstance:
     """Draw a random known-answer instance: y = x^k mod p.
@@ -121,16 +142,20 @@ def generate_instance(p: int, rng_seed: int) -> GeneratedInstance:
     non-unit x can give x^k = 0, which is not a valid target; such draws are
     rejected and redrawn from the same stream (x = p-1 always terminates
     the loop).  p and rng_seed must be whole numbers (what
-    ``operator.index`` takes).
+    ``operator.index`` takes).  The draws are those of
+    ``random.Random(rng_seed)``, from this thread's own generator reseeded
+    on every call, so an instance depends on (p, rng_seed) alone.
     """
-    p, rng_seed = _whole(p, "p"), _whole(rng_seed, "rng_seed")
+    if not type(p) is type(rng_seed) is int:
+        p, rng_seed = _whole(p, "p"), _whole(rng_seed, "rng_seed")
     if p < 3:
         raise ValueError(f"instance generation requires p >= 3, got {p}")
-    rng = random.Random(rng_seed)
+    rng = _thread_random.rng
+    rng.seed(rng_seed)
     while True:
         x = rng.randrange(2, p)
         k = rng.randrange(1, p)
-        y = modpow(x, k, p)
+        y = pow(x, k, p)
         if y != 0:
             return GeneratedInstance(DlogInstance(p, x, y), k)
 
@@ -220,7 +245,7 @@ class SweepConfig:
         object.__setattr__(self, "tolerance", tolerance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SweepRecord:
     """One solved instance with its ground truth and exact costs."""
 
@@ -232,6 +257,22 @@ class SweepRecord:
     counters: OpCounters
     wall_ns: int
     correct: bool
+
+    # Stored through its slots' setters, as DlogInstance's fields are.
+    def __init__(self, p, x, y, k_true, k_found, counters, wall_ns, correct) -> None:
+        _set_p(self, p)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_k_true(self, k_true)
+        _set_k_found(self, k_found)
+        _set_counters(self, counters)
+        _set_wall_ns(self, wall_ns)
+        _set_correct(self, correct)
+
+
+_set_p, _set_x, _set_y, _set_k_true, _set_k_found, _set_counters, _set_wall_ns, _set_correct = (
+    SweepRecord.__dict__[f.name].__set__ for f in fields(SweepRecord)
+)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -255,15 +296,9 @@ def _sweep_records(cfg: SweepConfig) -> Iterator[SweepRecord]:
             t0 = time.perf_counter_ns()
             report = solve(cfg.algo, inst, cfg.mode, cfg.tolerance)
             wall = time.perf_counter_ns() - t0
+            k = report.k
             yield SweepRecord(
-                p=p,
-                x=inst.x,
-                y=inst.y,
-                k_true=k_true,
-                k_found=report.k,
-                counters=report.counters,
-                wall_ns=wall,
-                correct=report.k is not None and report.k == k_true,
+                p, inst.x, inst.y, k_true, k, report.counters, wall, k is not None and k == k_true
             )
 
 
@@ -454,6 +489,17 @@ def record_as_dict(record: SweepRecord) -> dict:
     }
 
 
+def _record_row(record: SweepRecord) -> tuple:
+    # A CSV row in CSV_COLUMNS order; the bool cell by identity, so that an
+    # int 1 prints 1.  csv writes None as "".
+    c, correct = record.counters, record.correct
+    return (
+        record.p, record.x, record.y, record.k_true, record.k_found,
+        c.additions, c.subtractions, c.comparisons, c.outer_steps, record.wall_ns,
+        "true" if correct is True else "false" if correct is False else correct,
+    )
+
+
 def scan_as_dict(report: ScanReport) -> dict:
     return {
         "mode": str(report.mode),
@@ -482,17 +528,25 @@ def emit_results(payload, format: str, path) -> None:
     fmt = format.lower() if isinstance(format, str) else None
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    # Each payload gives its JSON document, CSV header and CSV rows (as dicts).
+    # Each payload gives its JSON document, CSV header and CSV rows (as
+    # sequences in header order).
     if isinstance(payload, list):
-        # lazy, so a CSV of a long sweep holds one row dict at a time
-        document = rows = map(record_as_dict, payload)
+        for i, record in enumerate(payload):
+            if not isinstance(record, SweepRecord):
+                raise TypeError(
+                    f"cannot emit record {i} of type {type(record).__name__}; "
+                    "expected a SweepRecord"
+                )
+        # lazy, so a long sweep holds one row or dict at a time
+        document, rows = map(record_as_dict, payload), map(_record_row, payload)
         header = CSV_COLUMNS
     elif isinstance(payload, FitResult):
         document = asdict(payload)
-        header, rows = tuple(document), [document]
+        header, rows = tuple(document), [tuple(document.values())]
     elif isinstance(payload, ScanReport):
         document = scan_as_dict(payload)
-        header, rows = ("p", "samples", "failures"), document["census"]
+        header = ("p", "samples", "failures")
+        rows = [(b.p, b.samples, b.failures) for b in payload.buckets]
     else:
         raise TypeError(
             f"cannot emit payload of type {type(payload).__name__}; "
@@ -503,15 +557,7 @@ def emit_results(payload, format: str, path) -> None:
             if fmt == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                # the bools by identity, so that an int 1 prints 1; csv
-                # writes None as ""
-                writer.writerows(
-                    [
-                        "true" if v is True else "false" if v is False else v
-                        for v in map(row.__getitem__, header)
-                    ]
-                    for row in rows
-                )
+                writer.writerows(rows)
             else:
                 json.dump(document, fh, indent=2, default=list)  # default: the lazy record map
                 fh.write("\n")

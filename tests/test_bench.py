@@ -1,9 +1,13 @@
 """Benchmark harness: generation, sweeps, fits, scans, emission."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 import statistics
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -19,6 +23,7 @@ from arcrotor import (
     DlogInstance,
     EmitError,
     FitResult,
+    GeneratedInstance,
     InsufficientDataError,
     OpCounters,
     ScanBucket,
@@ -62,7 +67,73 @@ class TestIsPrime:
         assert not is_prime(2_147_483_649)
 
 
+def reference_draw(p, seed):
+    # The generation contract: a fresh Random(seed) draws x, then k, and
+    # redraws both while x^k is 0 mod p.
+    rng = random.Random(seed)
+    while True:
+        x = rng.randrange(2, p)
+        k = rng.randrange(1, p)
+        if pow(x, k, p) != 0:
+            return GeneratedInstance(DlogInstance(p, x, pow(x, k, p)), k)
+
+
+GENERATION_SEEDS = (0, 1, 7, 2**31 - 1, 2**40 + 3, bench._child_seed(1, 4999, 9), -5)
+
+
 class TestGenerateInstance:
+    def test_matches_a_fresh_generator(self):
+        for p in range(3, 301):
+            for seed in GENERATION_SEEDS:
+                assert generate_instance(p, seed) == reference_draw(p, seed), (p, seed)
+
+    def test_composite_rejections_match_a_fresh_generator(self):
+        # seeds whose first draw gives x^k = 0 and is redrawn
+        rejected = 0
+        for p in (4, 8, 12, 16, 27, 32, 36, 64, 72, 96, 128):
+            for seed in range(200):
+                first = random.Random(seed)
+                x, k = first.randrange(2, p), first.randrange(1, p)
+                rejected += pow(x, k, p) == 0
+                assert generate_instance(p, seed) == reference_draw(p, seed), (p, seed)
+        assert rejected > 100
+
+    def test_shuffled_calls_give_the_same_instances(self):
+        calls = [(p, seed) for p in range(3, 120) for seed in GENERATION_SEEDS]
+        want = {call: reference_draw(*call) for call in calls}
+        random.Random(25).shuffle(calls)
+        assert {call: generate_instance(*call) for call in calls} == want
+
+    def test_threads_match_serial_calls(self):
+        calls = [(3 + i % 997, i) for i in range(2000)]
+        serial = [generate_instance(p, seed) for p, seed in calls]
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def worker(slot, order):
+            barrier.wait()
+            results[slot] = {call: generate_instance(*call) for call in order}
+
+        threads = [
+            threading.Thread(target=worker, args=(0, calls)),
+            threading.Thread(target=worker, args=(1, calls[::-1])),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got in results:
+            assert [got[call] for call in calls] == serial
+
+    def test_global_generator_neither_read_nor_moved(self):
+        random.seed(12345)
+        before = random.getstate()
+        first = [generate_instance(p, 3) for p in range(3, 60)]
+        assert random.getstate() == before
+        random.seed(999)
+        random.random()
+        assert [generate_instance(p, 3) for p in range(3, 60)] == first
+
     def test_known_answer_construction(self):
         # the generator's equation y = x^k mod p, checked at the fixtures
         assert modpow(3, 4, 7) == 4
@@ -96,6 +167,10 @@ class TestGenerateInstance:
 
     def test_numpy_int_inputs_match_int_inputs(self):
         assert generate_instance(np.int64(101), np.int64(5)) == generate_instance(101, 5)
+        for p, seed in ((3, 0), (12, 5), (101, 2**40 + 3), (4999, 9)):
+            got = generate_instance(np.int64(p), np.int64(seed))
+            assert got == reference_draw(p, seed)
+            assert type(got.instance.p) is int and type(got.generating_k) is int
 
     @pytest.mark.parametrize("p,rng_seed,name", [(101.0, 5, "p"), (101, 5.0, "rng_seed")])
     def test_rejects_non_whole_inputs(self, p, rng_seed, name):
@@ -106,6 +181,43 @@ class TestGenerateInstance:
         for seed in range(100):
             gen = generate_instance(101, seed)
             assert least_k(gen.instance) <= gen.generating_k
+
+
+@pytest.mark.parametrize(
+    "cls,names,args",
+    [
+        (
+            SweepRecord,
+            ("p", "x", "y", "k_true", "k_found", "counters", "wall_ns", "correct"),
+            (373, 13, 158, 5, 5, OpCounters(52, 23, 6, 4), 123, True),
+        ),
+        (GeneratedInstance, ("instance", "generating_k"), (DlogInstance(373, 13, 158), 5)),
+    ],
+    ids=["SweepRecord", "GeneratedInstance"],
+)
+def test_slotted_record_contract(cls, names, args):
+    obj = cls(*args)
+    assert cls.__match_args__ == names
+    assert tuple(asdict(obj)) == names
+    assert not hasattr(obj, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    by_keyword = cls(**dict(zip(names, args)))
+    assert by_keyword == obj
+    if cls is GeneratedInstance:
+        assert hash(by_keyword) == hash(obj)
+    else:  # its OpCounters is mutable, so a record has no hash either way
+        for twin in (obj, by_keyword):
+            with pytest.raises(TypeError):
+                hash(twin)
+    changed = replace(obj, **{names[1]: 2})
+    assert type(changed) is cls and getattr(changed, names[1]) == 2
+    assert replace(changed, **{names[1]: args[1]}) == obj
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(twin) is cls and twin == obj
 
 
 class TestLeastK:
@@ -593,6 +705,35 @@ class TestEmitResults:
         path = tmp_path / "miss.csv"
         emit_results([record], "csv", path)
         assert path.read_text().splitlines()[1] == "5,4,3,,,8,6,4,2,9,false"
+
+    def test_int_one_cells_are_not_bools(self, tmp_path):
+        # True == 1, so only an identity test tells the correct flag from a count
+        records = [
+            SweepRecord(3, 2, 2, 1, 1, OpCounters(1, 1, 1, 1), 1, True),
+            SweepRecord(3, 2, 2, 1, 1, OpCounters(1, 1, 1, 1), 1, 1),
+        ]
+        path = tmp_path / "ones.csv"
+        emit_results(records, "csv", path)
+        assert path.read_bytes().split(b"\r\n")[1:] == [
+            b"3,2,2,1,1,1,1,1,1,1,true",
+            b"3,2,2,1,1,1,1,1,1,1,1",
+            b"",
+        ]
+
+    @pytest.mark.parametrize(
+        "payload,fmt,bad",
+        [
+            ([{"p": 5}], "csv", "record 0 of type dict"),
+            ([1, 2], "json", "record 0 of type int"),
+            ([GOLDEN_PAYLOADS["records"][0], None], "csv", "record 1 of type NoneType"),
+        ],
+    )
+    def test_non_record_items_rejected_before_writing(self, tmp_path, payload, fmt, bad):
+        path = tmp_path / f"old.{fmt}"
+        path.write_text("earlier contents\n")
+        with pytest.raises(TypeError, match=rf"^cannot emit {bad}; expected a SweepRecord$"):
+            emit_results(payload, fmt, path)
+        assert path.read_text() == "earlier contents\n"
 
     def test_records_json_mirrors_field_names(self, tmp_path):
         path = tmp_path / "r.json"

@@ -8,7 +8,9 @@ line hashes what a fixed set of command-line calls print, return and write,
 ``wall_ns`` aside.  The ``oracles`` line hashes the answers of
 ``naive_solve``, ``bsgs_solve`` and ``least_k`` on the digest's instances and
 on units whose orbits close within BSGS's baby steps, and the order of every
-unit with p <= 60.  The ``records`` line takes over a minute and stays a
+unit with p <= 60.  The ``generated`` line hashes ``generate_instance`` over
+a grid of (p, seed) and the records of a sweep and of a precision scan,
+``wall_ns`` aside.  The ``records`` line takes over a minute and stays a
 manual check (``python tools/solve_digest.py``).
 """
 
@@ -55,4 +57,10 @@ def test_cli_line(solve_digest):
 def test_oracles_line(solve_digest):
     assert solve_digest._digest(solve_digest._oracle_records()) == (
         "73319 sha256 5255c10f1e17f29f53cf8a8bdd84bd3b2d7d858a2981030bd36cbdf1c4b4ff04"
+    )
+
+
+def test_generated_line(solve_digest):
+    assert solve_digest._digest(solve_digest._generated_records()) == (
+        "11014 sha256 dcb603af76919008c23867df6e9dd9ef4e76052b426fe96c964598d8eb1419a0"
     )

@@ -51,6 +51,12 @@ The ``oracles`` line hashes ``naive_solve``, ``bsgs_solve`` and
 1,000,003 (every y of their orbits and one outside), and
 ``multiplicative_order`` of every unit with p <= 60.
 
+The ``generated`` line hashes ``generate_instance(p, s)`` for every p from
+3 to 2,000 and s from 0 to 4, and the records, ``wall_ns`` aside, of a
+rotor-int ``run_sweep`` over the primes 100-1,000 with 3 samples each and of
+the fixed:16 sweep that ``precision_scan`` runs over every p from 3 to 200
+(3 samples each, the full census), with that scan's report.
+
 Floats are hashed by ``float.hex``, so every bit counts.
 """
 
@@ -80,7 +86,8 @@ from arcrotor import (  # noqa: E402
     rotor_step,
 )
 from arcrotor import bsgs_solve, cli, multiplicative_order, naive_solve  # noqa: E402
-from arcrotor.bench import least_k  # noqa: E402
+from arcrotor import SweepConfig, generate_instance, precision_scan, run_sweep  # noqa: E402
+from arcrotor.bench import _sweep_records, least_k, scan_as_dict  # noqa: E402
 from arcrotor.rotor import _arc_setup, _walk_float, _walk_int  # noqa: E402
 
 MODES = [fixed_point(b) for b in (8, 16, 24, 32, 40)]
@@ -236,6 +243,27 @@ def _oracle_records():
                 yield _typed([p, x, multiplicative_order(x, p)])
 
 
+def _record_fields(record) -> list:
+    # every field but wall_ns, the one that differs between runs
+    fields = [record.p, record.x, record.y, record.k_true, record.k_found]
+    return [*fields, *_counters(record.counters), record.correct]
+
+
+def _generated_records():
+    for p in range(3, 2001):
+        for s in range(5):
+            gen = generate_instance(p, s)
+            yield _typed([p, s, gen.instance.p, gen.instance.x, gen.instance.y, gen.generating_k])
+    for record in run_sweep(SweepConfig(100, 1000, 3, SEED)):
+        yield _typed(_record_fields(record))
+    mode = fixed_point(16)
+    scan = SweepConfig(3, 200, 3, SEED, prime_only=False, algo="rotor-real", mode=mode)
+    for record in _sweep_records(scan):
+        yield _typed(_record_fields(record))
+    report = precision_scan(mode, None, 200, 3, SEED, stop_at_first_failure=False)
+    yield repr(scan_as_dict(report))
+
+
 # Output paths are relative: each call runs in its own temporary directory.
 _SOLVE = ("solve", "--p", "373", "--x", "13", "--y", "158")
 _SWEEP = ("sweep", "--p-min", "60", "--p-max", "1100", "--samples", "2")
@@ -311,6 +339,7 @@ def main() -> None:
     print(f"wide {_digest(_wide_records())}")
     print(f"cli {_digest(_cli_records())}")
     print(f"oracles {_digest(_oracle_records())}")
+    print(f"generated {_digest(_generated_records())}")
 
 
 if __name__ == "__main__":
