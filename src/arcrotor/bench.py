@@ -491,13 +491,28 @@ def record_as_dict(record: SweepRecord) -> dict:
 
 def _record_row(record: SweepRecord) -> tuple:
     # A CSV row in CSV_COLUMNS order; the bool cell by identity, so that an
-    # int 1 prints 1.  csv writes None as "".
+    # int 1 prints 1, and numpy's bool as a bool.  csv writes None as "".
     c, correct = record.counters, record.correct
+    if correct is True:
+        correct = "true"
+    elif correct is False:
+        correct = "false"
+    elif isinstance(correct, np.bool_):
+        correct = "true" if correct else "false"
     return (
         record.p, record.x, record.y, record.k_true, record.k_found,
-        c.additions, c.subtractions, c.comparisons, c.outer_steps, record.wall_ns,
-        "true" if correct is True else "false" if correct is False else correct,
+        c.additions, c.subtractions, c.comparisons, c.outer_steps, record.wall_ns, correct,
     )
+
+
+def _json_value(value):
+    # json.dumps' fallback: the lazy record map as a list, a numpy scalar as
+    # its Python value; anything else cannot be emitted.
+    if isinstance(value, map):
+        return list(value)
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"cannot emit a value of type {type(value).__name__} as JSON")
 
 
 def scan_as_dict(report: ScanReport) -> dict:
@@ -537,7 +552,7 @@ def emit_results(payload, format: str, path) -> None:
                     f"cannot emit record {i} of type {type(record).__name__}; "
                     "expected a SweepRecord"
                 )
-        # lazy, so a long sweep holds one row or dict at a time
+        # lazy, so a long sweep's CSV holds one row at a time
         document, rows = map(record_as_dict, payload), map(_record_row, payload)
         header = CSV_COLUMNS
     elif isinstance(payload, FitResult):
@@ -552,6 +567,8 @@ def emit_results(payload, format: str, path) -> None:
             f"cannot emit payload of type {type(payload).__name__}; "
             "expected a record list, FitResult or ScanReport"
         )
+    if fmt == "json":  # serialised first, so a field it cannot write leaves the file alone
+        text = json.dumps(document, indent=2, default=_json_value) + "\n"
     try:
         with open(path, "w", newline="" if fmt == "csv" else None) as fh:
             if fmt == "csv":
@@ -559,8 +576,7 @@ def emit_results(payload, format: str, path) -> None:
                 writer.writerow(header)
                 writer.writerows(rows)
             else:
-                json.dump(document, fh, indent=2, default=list)  # default: the lazy record map
-                fh.write("\n")
+                fh.write(text)
     except OSError as exc:
         raise EmitError(f"cannot write {path}: {exc}") from exc
 

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import fmod, inf, isfinite
+from math import ceil, floor, fmod, inf, isfinite
 
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance, default_tolerance
+from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance
 
 
 class InvalidInstanceError(ValueError):
@@ -198,13 +198,20 @@ def _walk_int(
     # (Goldberg, 1991).  The guard bounds every operand and result: x >= 0
     # and acc >= 0 keep the values non-negative; a value is at most
     # max(acc, wrap), and at most wrap after a step, so a product is at most
-    # x * max(acc, wrap); the running sum of at most max_steps values is at
-    # most max_steps * wrap; lo, hi, cycle are bounded themselves.  Python's
-    # float `%` is fmod, always exact, plus a sign fix that non-negative
-    # operands never take.  So each float operation equals its int one, and
-    # the values go back to int for the blocks and for the subtraction
-    # count, whose product can pass 2**53.  A trail holds ints on every path:
-    # the carriers a wide walk appended go back to int with the rest.
+    # x * max(acc, wrap); lo, hi, cycle are bounded themselves.  The loop
+    # runs in passes of at most chunk = (2**53 - 1) // wrap steps, each
+    # summing into a fresh float `total` that goes to int when the pass
+    # ends, so a pass's running sum of at most chunk values is at most
+    # chunk * wrap < 2**53.  Each pass resumes at the last value with the
+    # same cycle reference, so the passes walk the one loop's steps.  A walk
+    # takes carriers when its loop is one pass, or when a pass holds at
+    # least the _BLOCK_HEAD steps of a head; shorter passes stay on ints.
+    # Python's float `%` is fmod, always exact, plus a sign fix that
+    # non-negative operands never take.  So each float operation equals its
+    # int one; acc and the sum go back to int for the blocks and for the
+    # subtraction count, whose product can pass 2**53, and the other ints
+    # are kept.  A trail holds ints on every path: the carriers a wide walk
+    # appended go back to int with the rest.
     # A walk runs a head of _BLOCK_HEAD steps on the loop and the rest in
     # _orbit_blocks, which extend the trail, when x >= 1, acc >= 1,
     # 1 <= wrap < _BLOCK_WRAP and max_steps > _BLOCK_MIN_STEPS (a wide walk's
@@ -229,29 +236,38 @@ def _walk_int(
         wrap >= _WIDE_WRAP
         and 0 <= acc
         and 0 <= x * max(acc, wrap) < _EXACT_INT
-        and max_steps * wrap < _EXACT_INT
         and max(abs(lo), abs(hi), abs(cycle)) < _EXACT_INT
+        and (chunk := (_EXACT_INT - 1) // wrap) >= min(head, _BLOCK_HEAD)
     )
     start, total = acc, 0
+    steps, reason, end = 0, _EXHAUSTED, head
     if wide:
-        x, acc, lo, hi, wrap = float(x), float(acc), float(lo), float(hi), float(wrap)
-        cycle = float(cycle)
-    steps, reason = max_steps, _EXHAUSTED
-    for steps in range(1, head + 1):
-        acc *= x
-        if acc > wrap:
-            acc = acc % wrap or wrap
-        total += acc
-        if trail is not None:
-            trail.append(acc)
-        if lo <= acc <= hi:
-            reason = _FOUND
+        ints, summed = (x, lo, hi, wrap, cycle), 0
+        x, lo, hi, wrap, cycle = map(float, ints)
+        acc, total, end = float(acc), 0.0, min(chunk, head)
+    while True:
+        for steps in range(steps + 1, end + 1):
+            acc *= x
+            if acc > wrap:
+                acc = acc % wrap or wrap
+            total += acc
+            if trail is not None:
+                trail.append(acc)
+            if lo <= acc <= hi:
+                reason = _FOUND
+                break
+            if acc == cycle:
+                reason = _CYCLE
+                break
+        if not wide:
             break
-        if acc == cycle:
-            reason = _CYCLE
+        summed += int(total)
+        total = 0.0
+        if steps == head or reason is not _EXHAUSTED:
             break
+        end = min(end + chunk, head)
     if wide:
-        x, acc, cycle, total, wrap, lo, hi = map(int, (x, acc, cycle, total, wrap, lo, hi))
+        acc, total, (x, lo, hi, wrap, cycle) = int(acc), summed, ints
         if trail is not None:  # the loop appended `steps` carriers
             trail[len(trail) - steps :] = map(int, trail[len(trail) - steps :])
     if head < max_steps and reason is _EXHAUSTED:
@@ -426,20 +442,20 @@ def _hit_interval(target, tol, D: int, W: int):
     fl(n / D - target) lies in [-tol, tol].  That difference is
     non-decreasing in n, so the test's lower side holds for every n from
     some lo on, its upper side for every n up to some hi, and the hits are
-    [lo, hi], empty when lo > hi.  The exact bounds target -+ tol, scaled to
-    the grid in integers, are first guesses that never overshoot: rounding
-    is monotone and -tol and tol are floats, so a point within them passes
-    both sides.  Rounding can add points just beyond them, and each loop
-    extends its end over those by that side of the float test itself.
+    [lo, hi], empty when lo > hi.  Each end is found from any first guess by
+    that side of the float test itself: lo moves up while it fails the
+    lower side, then down while the point below passes; hi the other way.
+    The guesses, target -+ tol scaled to the grid in float64 (D is a power
+    of two), lie within a point or two of the ends.
     """
-    tn, td = target.as_integer_ratio()
-    sn, sd = tol.as_integer_ratio()
-    c = max(td, sd)
-    t, s = tn * (c // td), sn * (c // sd)
-    lo = max(-(-(t - s) * D // c), 1)
-    hi = min((t + s) * D // c, W)
+    lo = ceil(max((target - tol) * D, 1.0))
+    hi = floor(min((target + tol) * D, W))
+    while lo <= W and lo / D - target < -tol:
+        lo += 1
     while lo > 1 and (lo - 1) / D - target >= -tol:
         lo -= 1
+    while hi >= 1 and hi / D - target > tol:
+        hi -= 1
     while hi < W and (hi + 1) / D - target <= tol:
         hi += 1
     return lo, hi
@@ -574,12 +590,15 @@ def rotor_solve_real(
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
     _check_mode(mode)
-    tolerance = check_tolerance(tolerance)
-    if mode.is_exact:
+    if tolerance is not None:
+        tolerance = check_tolerance(tolerance)
+    if mode.kind == "exact":
         # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
         # and y' = y*theta carry numerators x and y, and the 360-degree wrap
         # point is numerator p: the integer field, with no tolerance needed.
         return rotor_solve_int(inst)
     if tolerance is None:
-        tolerance = default_tolerance(mode, inst.p)
+        # default_tolerance's half step, without its second check of the
+        # mode and p: each solve pays it
+        tolerance = 180.0 / inst.p
     return _solve(inst, *_arc_setup(inst, mode, tolerance))

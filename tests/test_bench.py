@@ -9,6 +9,7 @@ import random
 import statistics
 import threading
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -719,6 +720,35 @@ class TestEmitResults:
             b"3,2,2,1,1,1,1,1,1,1,1",
             b"",
         ]
+
+    def test_numpy_bool_cells_read_as_bools(self, tmp_path):
+        records = [
+            SweepRecord(5, 4, 3, None, None, OpCounters(8, 6, 4, 2), 9, np.bool_(False)),
+            SweepRecord(5, 4, 3, 2, 2, OpCounters(8, 6, 4, 2), 9, np.bool_(True)),
+        ]
+        path = tmp_path / "numpy.csv"
+        emit_results(records, "csv", path)
+        assert path.read_text().splitlines()[1:] == [
+            "5,4,3,,,8,6,4,2,9,false",
+            "5,4,3,2,2,8,6,4,2,9,true",
+        ]
+
+    def test_numpy_fields_emit_their_values_as_json(self, tmp_path):
+        record = SweepRecord(np.int64(5), 4, 3, 2, None, OpCounters(8, 6, 4, 2), 9, np.bool_(False))
+        path = tmp_path / "numpy.json"
+        emit_results([self.one_record(), record], "json", path)
+        payload = json.loads(path.read_text())
+        assert payload[1] == dict(zip(CSV_COLUMNS, (5, 4, 3, 2, None, 8, 6, 4, 2, 9, False)))
+        assert payload[1]["correct"] is False
+
+    def test_json_field_it_cannot_write_leaves_the_file(self, tmp_path):
+        # the document is serialised before the destination is opened
+        path = tmp_path / "old.json"
+        path.write_text("earlier contents\n")
+        record = SweepRecord(Fraction(5), 4, 3, 2, None, OpCounters(8, 6, 4, 2), 9, False)
+        with pytest.raises(TypeError, match=r"^cannot emit a value of type Fraction as JSON$"):
+            emit_results([self.one_record(), record], "json", path)
+        assert path.read_text() == "earlier contents\n"
 
     @pytest.mark.parametrize(
         "payload,fmt,bad",

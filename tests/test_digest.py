@@ -2,8 +2,10 @@
 
 They hash the integer kernel's own loop: the ``orbits`` line verify's
 trails, the ``walks`` line walks whose hits and ends fall on each side of
-the 64-step head and of the numpy block edges, and the ``wide`` line the
-same for wraps from 2**30 to past 2**48, where blocks stop.  The ``cli``
+the 64-step head and of the numpy block edges, the ``wide`` line the
+same for wraps from 2**30 to past 2**48, where blocks stop, and the
+``chunks`` line walks with wraps from 2**45 to 2**47 and bounds up to 320
+steps, which run on float64 carriers in several passes.  The ``cli``
 line hashes what a fixed set of command-line calls print, return and write,
 ``wall_ns`` aside.  The ``oracles`` line hashes the answers of
 ``naive_solve``, ``bsgs_solve`` and ``least_k`` on the digest's instances and
@@ -45,6 +47,12 @@ def test_walks_line(solve_digest):
 def test_wide_line(solve_digest):
     assert solve_digest._digest(solve_digest._wide_records()) == (
         "3000 sha256 102b985b6a1bf871044c83fcfd24cc96e6041f92ccf2cd0f5507417c3d55c72f"
+    )
+
+
+def test_chunks_line(solve_digest):
+    assert solve_digest._digest(solve_digest._chunk_records()) == (
+        "3000 sha256 de72602e7c9f778dee125585d7e522313480b541f5cc845ed688472ab4342b29"
     )
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -937,12 +938,23 @@ class TestWideWalk:
             (7, (E53 - 1) // 7 - 1, 0, (E53 - 1) // 7, 0, 1, True),
             (8, 2**50 - 1, 0, 2**50, 0, 1, False),
             (9, 2**50 - 5, 0, 2**50 - 3, 0, 1, False),
-            # max_steps * wrap: 8 * wrap = 2**53 - 8, then exactly 2**53, then
-            # 9 values of wrap - 2**j whose float running sum would round
+            # max_steps * wrap, where a pass of (2**53 - 1) // wrap steps is
+            # shorter than 64: 8 * wrap = 2**53 - 8 (one pass), then exactly
+            # 2**53, then 9 values of wrap - 2**j whose float running sum
+            # would round (passes of 7 steps: ints)
             (2, 2**50 - 2, 0, 2**50 - 1, 0, 8, True),
             (2, 2**50 - 1, 0, 2**50, 0, 8, False),
             (2, 2**50 + 2**20, 0, 2**50 + 2**20 + 1, 0, 9, False),
             (3, 2**50 + 2**20, 0, 2**50 + 2**20 + 1, 0, 9, False),
+            # a loop longer than one pass: 255 * 2**45 < 2**53, so 256 steps
+            # run in passes of 255 and 1; at 2**47 - 1 in passes of 64; at
+            # 2**47 a pass would hold 63 steps, too short for a 300-step loop
+            # (ints), but not for a 63-step one
+            (3, 5, 0, 2**45, 0, 255, True),
+            (3, 5, 0, 2**45, 0, 256, True),
+            (3, 5, 0, 2**47 - 1, 0, 300, True),
+            (3, 5, 0, 2**47, 0, 300, False),
+            (3, 5, 0, 2**47, 0, 63, True),
             # a start below 0 stays on ints; one product past 2**53 would round
             (3, -5, 0, 2**40, 0, 5, False),
             (3, -(2**52 + 1), 0, 2**40, 0, 2, False),
@@ -976,6 +988,44 @@ class TestWideWalk:
             assert _walk_int(x, acc, lo, hi, wrap, max_steps) == miss
         assert bool(float_calls) is carried
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_multi_pass_walks_match_literal_walk(self, data):
+        # bounds up to 320 steps run no blocks; a wrap from 2**45 to 2**47 - 1
+        # gives passes of (2**53 - 1) // wrap = 255 down to 64 steps, so these
+        # walks run on carriers in 2 to 5 passes, each resuming where the
+        # last stopped, with the same hit interval and cycle reference.  Most
+        # walks of more than two passes sum past 2**53, where one float sum
+        # would round.
+        chunk = data.draw(st.integers(_BLOCK_HEAD, 255), label="pass")
+        wrap = data.draw(st.integers((E53 - 1) // (chunk + 1) + 1, (E53 - 1) // chunk), label="wrap")
+        max_steps = data.draw(st.integers(chunk + 1, _BLOCK_MIN_STEPS), label="max_steps")
+        x = data.draw(st.integers(2, 12), label="x")
+        acc = data.draw(st.integers(1, wrap), label="acc")
+        # a value of the walk at any step, or none
+        at = st.integers(1, max_steps).map(lambda s: _product_walk(x, acc, 1, 0, wrap, s, 0)[0])
+        target = data.draw(st.one_of(at, st.just(-1)), label="target")
+        cycle = data.draw(st.one_of(st.none(), at), label="cycle")
+        trail = [] if data.draw(st.booleans(), label="trail") else None
+        got = _checked_block_walk(x, acc, target, target, wrap, max_steps, trail, cycle)
+        assert got == _literal_walk(x, acc, target, wrap, 0, max_steps, cycle)
+
+    def test_long_bound_passes_do_not_nest(self, float_calls):
+        # acc = 0 stays 0 and enters no blocks: a bound of 10**6 steps at
+        # wrap 2**40 + 15 runs 123 carrier passes of 8,191 steps, in a loop,
+        # within 20 frames of the caller
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 20)
+        try:
+            got = _walk_int(3, 0, 5, 4, 2**40 + 15, 10**6, None, 7)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == (0, 10**6, 0, SolveReason.EXHAUSTED_ITERATIONS)
+        assert float_calls
+
     def test_negative_x_stays_on_ints(self):
         # rotor_step rejects x < 1, but the kernel's guard does not rely on
         # it: the fold multiplies by a negative x and never wraps, and the
@@ -1005,12 +1055,14 @@ class TestWideWalk:
             (APPENDIX, True),
             (DlogInstance(4999, 3, 2), True),
             (DlogInstance(5826, 2, 3), True),
-            (DlogInstance(5827, 2, 3), False),
+            (DlogInstance(5827, 2, 3), True),
         ],
     )
     def test_fixed32_solve_carrier_has_int_results(self, float_calls, inst, carried):
-        # (p - 1) * 360 * 2**32 < 2**53 up to p = 5826, so every fixed:32
-        # solve of the precision scan (p <= 1200) runs on float64 carriers
+        # a walk's loop sums at most 320 values in one pass without blocks,
+        # and its 64-step head before them, and 320 * 360 * 2**32 < 2**53:
+        # every fixed:32 solve with x * wrap < 2**53 runs on float64
+        # carriers, also past p = 5826, where (p - 1) * wrap passes 2**53
         mode = fixed_point(32)
         report = rotor_solve_real(inst, mode)
         assert bool(float_calls) is carried
@@ -1297,13 +1349,21 @@ class TestWideBlocks:
         walks = sum(_check_fixed_window(p, bits, block_calls) for p in range(low, high + 1))
         assert walks == entered
 
-    def test_fixed32_solve_past_the_carrier_guard(self, float_calls, block_calls):
-        # (p - 1) * F32 passes 2**53 from p = 5827 on: an int head, then blocks
+    def test_fixed32_solve_carrier_head_then_blocks(self, float_calls, block_calls):
+        # (p - 1) * F32 passes 2**53 from p = 5827 on, but the loop sums only
+        # the 64-step head: carriers, then blocks
         inst, mode = DlogInstance(5827, 2, 3), fixed_point(32)
         report = rotor_solve_real(inst, mode)
         assert (report.k, report.reason, report.counters) == _literal_int_solve(inst, mode, None)
         assert report.reason is SolveReason.EXHAUSTED_ITERATIONS
-        assert block_calls and not float_calls
+        assert block_calls and float_calls
+
+    @pytest.mark.parametrize("wrap,carried", [(2**47 - 1, True), (2**47, False)])
+    def test_head_carriers_up_to_the_pass_edge(self, float_calls, block_calls, wrap, carried):
+        # the 64-step head is one pass: carriers while 64 * wrap < 2**53,
+        # ints from wrap = 2**47 on, where a pass would hold 63 steps
+        _checked_block_walk(G, 5, 1, 0, wrap, 2000, [])
+        assert block_calls and bool(float_calls) is carried
 
 
 def _check_fixed_window(p, bits, block_calls):

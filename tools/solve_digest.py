@@ -36,7 +36,12 @@ ends fall on each side of the step counts where the integer kernel moves
 from its loop to numpy blocks (a 64-step head in walks with bounds past 320
 steps) and from one block to the next.  The ``wide`` line does the same for
 3,000 seeded walks with wraps from 2**30 to past 2**48 (fixed-point wraps
-360 << b among them), where blocks stop.
+360 << b among them), where blocks stop.  The ``chunks`` line hashes the
+full return, and the trail where one is kept, of 3,000 seeded walks with
+wraps from 2**45 to 2**47 and bounds up to 320 steps, before the block
+entry, whose bound's running sum can pass 2**53: the integer kernel runs
+them on float64 carriers in passes of (2**53 - 1) // wrap steps, with a
+trail or not and with a cycle reference of their own or their start.
 
 The ``cli`` line hashes ``CLI_CALLS``, in-process ``arcrotor.cli.main``
 calls: solve in every algo and mode, verify, sweeps and precision scans in
@@ -227,6 +232,23 @@ def _wide_records():
     return _seeded_walks(SEED + 4, 3000, wraps, xs, 4000)
 
 
+def _chunk_records():
+    # wraps from 2**45 to 2**47, whose passes hold 255 down to 64 steps
+    rng = random.Random(SEED + 5)
+    for _ in range(3000):
+        wrap = rng.randrange(2**45, 2**47 + 1)
+        x = rng.choice((rng.randrange(1, 40), rng.randrange(1, 2**53 // wrap)))
+        acc = rng.choice((rng.randrange(1, wrap + 1), rng.randrange(0, 3 * wrap + 1)))
+        max_steps = rng.choice(((2**53 - 1) // wrap + 1, 320, rng.randrange(0, 321)))
+        on_walk = [acc * pow(x, rng.randrange(1, 321), wrap) % wrap or wrap for _ in range(2)]
+        target = rng.choice((on_walk[0], rng.randrange(0, wrap + 1)))
+        tol = rng.choice((0, -1, 1, wrap // 2000))
+        cycle = rng.choice((None, on_walk[1], rng.randrange(0, wrap + 1)))
+        trail = rng.choice((None, []))
+        walk = _walk_int(x, acc, target - tol, target + tol, wrap, max_steps, trail, cycle)
+        yield _typed([*walk, trail is None, *(trail or ())])
+
+
 # Units of order 2 and 3 mod the prime 1,000,003, whose orbits close within
 # BSGS's 1,001 baby steps: every y of each orbit, and one y outside it.
 _SMALL_ORDER = [
@@ -337,6 +359,7 @@ def main() -> None:
     print(f"orbits {_digest(_orbit_records())}")
     print(f"walks {_digest(_walk_records())}")
     print(f"wide {_digest(_wide_records())}")
+    print(f"chunks {_digest(_chunk_records())}")
     print(f"cli {_digest(_cli_records())}")
     print(f"oracles {_digest(_oracle_records())}")
     print(f"generated {_digest(_generated_records())}")
