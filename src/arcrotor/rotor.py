@@ -38,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import ceil, floor, fmod, inf, isfinite
+from math import fmod, inf, isfinite
 
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance
+from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance, default_tolerance
 
 
 class InvalidInstanceError(ValueError):
@@ -442,20 +442,20 @@ def _hit_interval(target, tol, D: int, W: int):
     fl(n / D - target) lies in [-tol, tol].  That difference is
     non-decreasing in n, so the test's lower side holds for every n from
     some lo on, its upper side for every n up to some hi, and the hits are
-    [lo, hi], empty when lo > hi.  Each end is found from any first guess by
-    that side of the float test itself: lo moves up while it fails the
-    lower side, then down while the point below passes; hi the other way.
-    The guesses, target -+ tol scaled to the grid in float64 (D is a power
-    of two), lie within a point or two of the ends.
+    [lo, hi], empty when lo > hi.  The exact bounds target -+ tol, scaled to
+    the grid in integers, are first guesses that never overshoot: rounding
+    is monotone and -tol and tol are floats, so a point within them passes
+    both sides.  Rounding can add points just beyond them, and each loop
+    extends its end over those by that side of the float test itself.
     """
-    lo = ceil(max((target - tol) * D, 1.0))
-    hi = floor(min((target + tol) * D, W))
-    while lo <= W and lo / D - target < -tol:
-        lo += 1
+    tn, td = target.as_integer_ratio()
+    sn, sd = tol.as_integer_ratio()
+    c = max(td, sd)
+    t, s = tn * (c // td), sn * (c // sd)
+    lo = max(-(-(t - s) * D // c), 1)
+    hi = min((t + s) * D // c, W)
     while lo > 1 and (lo - 1) / D - target >= -tol:
         lo -= 1
-    while hi >= 1 and hi / D - target > tol:
-        hi -= 1
     while hi < W and (hi + 1) / D - target <= tol:
         hi += 1
     return lo, hi
@@ -590,15 +590,12 @@ def rotor_solve_real(
     if not isinstance(inst, DlogInstance):
         raise InvalidInstanceError(f"expected a DlogInstance, got {type(inst).__name__}")
     _check_mode(mode)
-    if tolerance is not None:
-        tolerance = check_tolerance(tolerance)
-    if mode.kind == "exact":
+    tolerance = check_tolerance(tolerance)
+    if mode.is_exact:
         # Rational-angle semantics: theta carries numerator 1, so x' = x*theta
         # and y' = y*theta carry numerators x and y, and the 360-degree wrap
         # point is numerator p: the integer field, with no tolerance needed.
         return rotor_solve_int(inst)
     if tolerance is None:
-        # default_tolerance's half step, without its second check of the
-        # mode and p: each solve pays it
-        tolerance = 180.0 / inst.p
+        tolerance = default_tolerance(mode, inst.p)
     return _solve(inst, *_arc_setup(inst, mode, tolerance))

@@ -206,6 +206,11 @@ class TestAnglesEqual:
         inst = DlogInstance(7, 3, 2)
         assert rotor_solve_real(inst, mode, 10**400) == rotor_solve_real(inst, mode, 1e300)
         assert rotor_solve_real(inst, mode, 10**400).k == 2
+        # a float64 walk that hands off to the integer fold at step 1
+        # (theta = 72.0) scales its hit interval's guesses with that tolerance
+        inst = DlogInstance(5, 2, 4)
+        assert rotor_solve_real(inst, mode, 10**400) == rotor_solve_real(inst, mode, 1e300)
+        assert rotor_solve_real(inst, mode, 10**400).k == 2
 
     def test_checked_tolerance_types(self):
         # whole numbers stay exact ints at any size; other reals become floats

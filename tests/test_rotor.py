@@ -1639,6 +1639,31 @@ class TestFloatHandoff:
         past = [n for n in (lo, hi) if not bounds[0] <= Fraction(n, D) <= bounds[1]]
         assert len(past) == 1  # one end lies past its exact bound
 
+    def test_hit_interval_past_the_float_range(self):
+        # a whole-number tol past the float range hits every point
+        assert _hit_interval(288.0, 10**400, 1, 360) == (1, 360)
+        assert _hit_interval(-360.0, 10**400, 2**44, 360 * 2**44) == (1, 360 * 2**44)
+        # on a subnormal grid D = 2**1074 passes the float range: the hits
+        # of 2**-1073 +- 2**-1074 are n = 1, 2, 3
+        assert _hit_interval(2**-1073, 2**-1074, 2**1074, 5) == (1, 3)
+        assert _hit_interval(2**-1073, 0.0, 2**1074, 5) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "x,acc,target,wrap,tol,max_steps",
+        [
+            # a whole-number tol past the float range, handed off at step 1
+            (2, 72.0, 288.0, 360.0, 10**400, 3),
+            # subnormal grids (D = 2**1074): a cycle at step 1, a hit at step 3
+            (1, 2**-1074, 0.0, 3 * 2**-1074, 0.0, 5),
+            (3, 2**-1074, 2**-1073, 5 * 2**-1074, 0.0, 5),
+        ],
+        ids=["whole-tol", "subnormal-cycle", "subnormal-hit"],
+    )
+    def test_handoff_past_the_float_range_matches_literal_reference(
+        self, x, acc, target, wrap, tol, max_steps
+    ):
+        _checked_float_walk(x, acc, target, wrap, tol, max_steps)
+
 
 class TestInvariants:
     def test_oracle_equivalence_small_exhaustive(self):
