@@ -18,7 +18,6 @@ from .numerics import (
 from .oracles import (
     NotAUnitError,
     bsgs_solve,
-    modpow,
     multiplicative_order,
     naive_solve,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "initial_state",
     "is_prime",
     "least_k",
-    "modpow",
     "multiplicative_order",
     "naive_solve",
     "parse_mode",

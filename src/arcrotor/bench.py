@@ -63,15 +63,22 @@ CSV_COLUMNS = (
     "correct",
 )
 
-# Deterministic Miller-Rabin witness set, valid for all inputs below 2**64
-# (and well beyond); desk-scale moduli stay far under that.
+# Deterministic Miller-Rabin witness set, the first 12 primes: valid for
+# every n below 318,665,857,834,031,151,167,461 (about 2**78), the least
+# strong pseudoprime to all of them; desk-scale moduli stay far under that.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 64-bit-scale inputs."""
+    """Deterministic Miller-Rabin primality test for n below 318,665,857,834,031,151,167,461.
+
+    From that bound on the witnesses can call a composite prime, so a larger
+    n raises ValueError.
+    """
     if n < 2:
         return False
+    if n >= 318_665_857_834_031_151_167_461:
+        raise ValueError(f"n must be below 318665857834031151167461 for is_prime, got {n}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -473,22 +480,6 @@ def precision_scan(
 # ---------------------------------------------------------------------------
 
 
-def record_as_dict(record: SweepRecord) -> dict:
-    return {
-        "p": record.p,
-        "x": record.x,
-        "y": record.y,
-        "k_true": record.k_true,
-        "k_found": record.k_found,
-        "additions": record.counters.additions,
-        "subtractions": record.counters.subtractions,
-        "comparisons": record.counters.comparisons,
-        "outer_steps": record.counters.outer_steps,
-        "wall_ns": record.wall_ns,
-        "correct": record.correct,
-    }
-
-
 def _record_row(record: SweepRecord) -> tuple:
     # A CSV row in CSV_COLUMNS order; the bool cell by identity, so that an
     # int 1 prints 1, and numpy's bool as a bool.  csv writes None as "".
@@ -506,10 +497,8 @@ def _record_row(record: SweepRecord) -> tuple:
 
 
 def _json_value(value):
-    # json.dumps' fallback: the lazy record map as a list, a numpy scalar as
-    # its Python value; anything else cannot be emitted.
-    if isinstance(value, map):
-        return list(value)
+    # json.dumps' fallback: a numpy scalar as its Python value; anything else
+    # cannot be emitted.
     if isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"cannot emit a value of type {type(value).__name__} as JSON")
@@ -543,8 +532,8 @@ def emit_results(payload, format: str, path) -> None:
     fmt = format.lower() if isinstance(format, str) else None
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    # Each payload gives its JSON document, CSV header and CSV rows (as
-    # sequences in header order).
+    # Each payload gives its CSV header and rows (as sequences in header
+    # order) and, for JSON, its document.
     if isinstance(payload, list):
         for i, record in enumerate(payload):
             if not isinstance(record, SweepRecord):
@@ -553,8 +542,9 @@ def emit_results(payload, format: str, path) -> None:
                     "expected a SweepRecord"
                 )
         # lazy, so a long sweep's CSV holds one row at a time
-        document, rows = map(record_as_dict, payload), map(_record_row, payload)
-        header = CSV_COLUMNS
+        header, rows = CSV_COLUMNS, map(_record_row, payload)
+        if fmt == "json":  # each record's CSV row by name, with `correct` as stored
+            document = [dict(zip(header, _record_row(r)), correct=r.correct) for r in payload]
     elif isinstance(payload, FitResult):
         document = asdict(payload)
         header, rows = tuple(document), [tuple(document.values())]

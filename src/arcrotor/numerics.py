@@ -114,7 +114,8 @@ def default_tolerance(mode: NumericMode, modulus: int) -> float:
     Valid reduced angles lie on the lattice {0, theta, 2*theta, ...} with
     theta = 360/modulus, so half a lattice step separates neighbours; exact
     mode needs no tolerance at all.  The modulus must be a whole number
-    (what ``operator.index`` takes) of at least 2.
+    (what ``operator.index`` takes) of at least 2, and in an approximate
+    mode below 2**1024 - 2**970, past which it rounds beyond the float range.
     """
     _check_mode(mode)
     if type(modulus) is not int:
@@ -123,7 +124,13 @@ def default_tolerance(mode: NumericMode, modulus: int) -> float:
         raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
     if mode.is_exact:
         return 0.0
-    return 180.0 / modulus
+    try:
+        return 180.0 / modulus
+    except OverflowError:
+        raise InvalidModulusError(
+            f"modulus must be below 2**1024 - 2**970 for a float64 tolerance, "
+            f"got a {modulus.bit_length()}-bit modulus"
+        ) from None
 
 
 def check_tolerance(tolerance: float | None) -> float | None:

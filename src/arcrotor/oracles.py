@@ -21,20 +21,6 @@ class NotAUnitError(ValueError):
     """Raised when an order is requested for x with gcd(x, p) != 1."""
 
 
-def modpow(x: int, k: int, p: int) -> int:
-    """x**k mod p for a modulus p >= 2 and an exponent k >= 0.
-
-    Each argument must be a whole number (what ``operator.index`` takes).
-    """
-    if not type(x) is type(k) is type(p) is int:
-        x, k, p = _whole(x, "x"), _whole(k, "exponent"), _whole(p, "modulus")
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    if k < 0:
-        raise ValueError(f"exponent must be non-negative, got {k}")
-    return pow(x, k, p)
-
-
 def naive_solve(inst: DlogInstance) -> int | None:
     """Least k with x^k = y (mod p) by brute-force scan, or None.
 

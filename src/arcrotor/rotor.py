@@ -43,7 +43,15 @@ from math import fmod, inf, isfinite
 import numpy as np
 
 from .counters import OpCounters
-from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance, default_tolerance
+from .numerics import (
+    EXACT,
+    InvalidModulusError,
+    NumericMode,
+    _check_mode,
+    _whole,
+    check_tolerance,
+    default_tolerance,
+)
 
 
 class InvalidInstanceError(ValueError):
@@ -477,7 +485,13 @@ def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
     """Kernel, start, hit test and wrap of a float64 or fixed-point arc solve."""
     p, x, y = inst.p, inst.x, inst.y
     if mode.kind == "float64":
-        theta = 360.0 / p
+        try:
+            theta = 360.0 / p
+        except OverflowError:
+            raise ValueError(
+                f"p must be below 2**1024 - 2**970 for the float64 step 360/p, "
+                f"got a {p.bit_length()}-bit p"
+            ) from None
         return _walk_float, x * theta, y * theta, tolerance, 360.0
     # Fixed point rounds only theta and the tolerance; everything after that
     # is exact integer arithmetic on raw units.  Both round in integers: a
@@ -597,5 +611,11 @@ def rotor_solve_real(
         # point is numerator p: the integer field, with no tolerance needed.
         return rotor_solve_int(inst)
     if tolerance is None:
-        tolerance = default_tolerance(mode, inst.p)
+        try:
+            tolerance = default_tolerance(mode, inst.p)
+        except InvalidModulusError:  # inst.p >= 2, so p is past the float range
+            raise ValueError(
+                f"p must be below 2**1024 - 2**970 for the default tolerance 180/p, "
+                f"got a {inst.p.bit_length()}-bit p"
+            ) from None
     return _solve(inst, *_arc_setup(inst, mode, tolerance))

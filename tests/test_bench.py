@@ -39,7 +39,6 @@ from arcrotor import (
     generate_instance,
     is_prime,
     least_k,
-    modpow,
     naive_solve,
     precision_scan,
     run_sweep,
@@ -66,6 +65,29 @@ class TestIsPrime:
     def test_larger_values(self):
         assert is_prime(2_147_483_647)  # Mersenne prime 2^31 - 1
         assert not is_prime(2_147_483_649)
+
+    @pytest.mark.parametrize(
+        "n,factors",
+        [
+            (318_665_857_834_031_151_167_461, (399_165_290_221, 798_330_580_441)),
+            (3_317_044_064_679_887_385_961_981, (1_287_836_182_261, 2_575_672_364_521)),
+        ],
+    )
+    def test_pseudoprimes_to_the_witnesses_refused(self, n, factors):
+        # composites that are strong probable primes to all 12 witnesses, the
+        # least such and the least to the first 13 primes: both read as prime
+        assert factors[0] * factors[1] == n
+        with pytest.raises(ValueError, match="^n must be below 318665857834031151167461"):
+            is_prime(n)
+
+    def test_bound_of_the_witnesses(self):
+        last = 318_665_857_834_031_151_167_460  # the largest n that gets an answer
+        assert is_prime(last) is False
+        assert is_prime(2**61 - 1) is True  # Mersenne prime
+        with pytest.raises(ValueError, match="^n must be below"):
+            is_prime(last + 1)
+        with pytest.raises(ValueError, match="^n must be below"):
+            is_prime(2**89 - 1)  # a Mersenne prime past the bound is refused too
 
 
 def reference_draw(p, seed):
@@ -137,8 +159,8 @@ class TestGenerateInstance:
 
     def test_known_answer_construction(self):
         # the generator's equation y = x^k mod p, checked at the fixtures
-        assert modpow(3, 4, 7) == 4
-        assert modpow(13, 5, 373) == 158
+        assert pow(3, 4, 7) == 4
+        assert pow(13, 5, 373) == 158
 
     def test_round_trip_many_seeds(self):
         for seed in range(200):
@@ -146,7 +168,7 @@ class TestGenerateInstance:
             inst = gen.instance
             assert 2 <= inst.x <= 96
             assert 1 <= gen.generating_k <= 96
-            assert modpow(inst.x, gen.generating_k, inst.p) == inst.y
+            assert pow(inst.x, gen.generating_k, inst.p) == inst.y
 
     def test_composite_modulus_never_yields_zero_target(self):
         for seed in range(300):
@@ -720,6 +742,14 @@ class TestEmitResults:
             b"3,2,2,1,1,1,1,1,1,1,1",
             b"",
         ]
+        # JSON writes `correct` as stored: true for True, 1 for the int 1
+        path = tmp_path / "ones.json"
+        emit_results(records, "json", path)
+        assert [(type(r["correct"]), r["correct"]) for r in json.loads(path.read_text())] == [
+            (bool, True),
+            (int, 1),
+        ]
+        assert '"correct": true\n' in path.read_text() and '"correct": 1\n' in path.read_text()
 
     def test_numpy_bool_cells_read_as_bools(self, tmp_path):
         records = [

@@ -117,6 +117,22 @@ class TestSolve:
         assert (code, err) == (0, "")
         assert parse_stdout(out)["k"] == 2
 
+    @pytest.mark.parametrize("mode", ["float64", "fixed:16"])
+    def test_p_past_the_float_range_names_flag(self, capsys, mode):
+        # an untyped OverflowError printed a traceback and exited 1 ("no solution")
+        base = ("solve", "--p", str(10**400), "--x", "2", "--y", "1", "--algo", "rotor-real")
+        code, out, err = run_cli(capsys, *base, "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --p must be below 2**1024 - 2**970 for the default tolerance")
+        if mode == "float64":
+            code, out, err = run_cli(capsys, *base, "--mode", mode, "--tolerance", "0.5")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --p must be below 2**1024 - 2**970 for the float64 step")
+        else:  # fixed point with a given tolerance needs no float of p
+            code, out, err = run_cli(capsys, *base, "--mode", mode, "--tolerance", "0.5")
+            assert (code, err) == (0, "")
+            assert parse_stdout(out)["k"] == 0
+
     @pytest.mark.parametrize("algo", ["rotor-int", "naive", "bsgs"])
     def test_mode_and_tolerance_need_rotor_real(self, capsys, algo):
         base = ("solve", "--p", "373", "--x", "13", "--y", "158", "--algo", algo)

@@ -103,6 +103,19 @@ class TestNumericMode:
         with pytest.raises(InvalidModulusError, match="^modulus must be a whole number"):
             default_tolerance(FLOAT64_DEGREES, modulus)
 
+    def test_default_tolerance_past_the_float_range(self):
+        # 2**1024 - 2**970 is the least int that rounds past the largest
+        # float: 180.0 / modulus raised an untyped OverflowError from there on
+        edge = 2**1024 - 2**970
+        assert default_tolerance(FLOAT64_DEGREES, edge - 1) == 180.0 / (edge - 1) > 0
+        assert default_tolerance(EXACT, 10**400) == 0.0
+        for mode in (FLOAT64_DEGREES, fixed_point(16)):
+            for modulus in (edge, 10**400):
+                with pytest.raises(
+                    InvalidModulusError, match=r"^modulus must be below 2\*\*1024 - 2\*\*970"
+                ):
+                    default_tolerance(mode, modulus)
+
     def test_default_tolerance_takes_a_numpy_int_modulus(self):
         assert default_tolerance(FLOAT64_DEGREES, np.int64(7)) == 180.0 / 7
 

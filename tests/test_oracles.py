@@ -1,4 +1,4 @@
-"""Oracle solvers: modular exponentiation, brute-force scan, BSGS, orders."""
+"""Oracle solvers: brute-force scan, BSGS, orders."""
 
 from math import gcd
 
@@ -11,7 +11,6 @@ from arcrotor import (
     DlogInstance,
     NotAUnitError,
     bsgs_solve,
-    modpow,
     multiplicative_order,
     naive_solve,
 )
@@ -25,48 +24,6 @@ def brute_least_k_table(p, x):
         table.setdefault(acc, k)
         acc = acc * x % p
     return table
-
-
-class TestModpow:
-    def test_appendix_power(self):
-        assert modpow(13, 5, 373) == 158
-
-    def test_zero_exponent_is_one(self):
-        for x, p in [(13, 373), (2, 2), (7, 11), (0, 5)]:
-            assert modpow(x, 0, p) == 1
-
-    def test_power_below_modulus(self):
-        assert modpow(2, 10, 1025) == 1024
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            modpow(2, -1, 5)
-        with pytest.raises(ValueError):
-            modpow(2, 3, 1)
-
-    def test_numpy_ints_taken_as_ints(self):
-        got = modpow(np.int64(3), np.int32(5), np.uint16(7))
-        assert type(got) is int and got == 5
-        assert modpow(np.int64(13), 5, 373) == modpow(13, np.int64(5), 373) == 158
-        assert modpow(2, 64, np.int64(2**62 + 1)) == pow(2, 64, 2**62 + 1)
-
-    @pytest.mark.parametrize(
-        "args,name", [((3.0, 5, 7), "x"), ((3, 5.0, 7), "exponent"), ((3, 5, "7"), "modulus")]
-    )
-    def test_non_whole_arguments_rejected(self, args, name):
-        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
-            modpow(*args)
-
-    def test_numpy_bounds_checked(self):
-        with pytest.raises(ValueError, match="^exponent"):
-            modpow(2, np.int64(-1), 5)
-        with pytest.raises(ValueError, match="^modulus"):
-            modpow(2, 3, np.int64(1))
-
-    @settings(max_examples=300)
-    @given(st.integers(0, 10**9), st.integers(0, 10**4), st.integers(2, 10**9))
-    def test_matches_builtin_pow(self, x, k, p):
-        assert modpow(x, k, p) == pow(x, k, p)
 
 
 class TestNaiveSolve:
@@ -103,7 +60,7 @@ class TestNaiveSolve:
         y = data.draw(st.integers(1, p - 1))
         k = naive_solve(DlogInstance(p, x, y))
         if k is not None:
-            assert modpow(x, k, p) == y
+            assert pow(x, k, p) == y
 
 
 class TestBsgsSolve:
@@ -217,7 +174,7 @@ class TestMultiplicativeOrder:
                 if gcd(x, p) != 1:
                     continue
                 t = multiplicative_order(x, p)
-                assert modpow(x, t, p) == 1
+                assert pow(x, t, p) == 1
                 # scan confirms minimality
                 acc = 1
                 for j in range(1, t):

@@ -28,7 +28,6 @@ from arcrotor import (
     fixed_point,
     initial_projected_state,
     initial_state,
-    modpow,
     naive_solve,
     parse_mode,
     rotor_solve_int,
@@ -290,6 +289,33 @@ class TestRotorSolveReal:
     def test_float64_default_tolerance_solves_fixture(self):
         report = rotor_solve_real(APPENDIX, FLOAT64_DEGREES)
         assert report.k == 5
+
+    def test_p_past_the_float_range_refused(self):
+        # float64 needs 360/p and the default tolerance 180/p as floats; from
+        # 2**1024 - 2**970 on, p rounds past the largest float, and an untyped
+        # OverflowError came before the y = 1 pre-check
+        edge = 2**1024 - 2**970
+        for p in (edge, 10**400):
+            inst = DlogInstance(p, 2, 1)
+            cases = [(FLOAT64_DEGREES, None), (FLOAT64_DEGREES, 0.5), (fixed_point(16), None)]
+            for mode, tol in cases:
+                with pytest.raises(ValueError, match=r"^p must be below 2\*\*1024 - 2\*\*970"):
+                    rotor_solve_real(inst, mode, tol)
+            with pytest.raises(ValueError, match=r"^p must be below 2\*\*1024 - 2\*\*970"):
+                initial_projected_state(inst, FLOAT64_DEGREES)
+
+    def test_p_just_below_the_float_range_and_fixed_tolerances_solve(self):
+        below = 2**1024 - 2**970 - 1
+        theta = 360.0 / below
+        assert initial_projected_state(DlogInstance(below, 3, 2), FLOAT64_DEGREES) == RotorState(
+            3 * theta, 2 * theta, 1
+        )
+        for mode in (FLOAT64_DEGREES, fixed_point(16)):
+            assert rotor_solve_real(DlogInstance(below, 2, 1), mode).k == 0
+        # fixed point with a given tolerance needs no float of p at any size
+        inst = DlogInstance(10**400, 2, 1)
+        assert rotor_solve_real(inst, fixed_point(16), 0.5).k == 0
+        assert initial_projected_state(inst, fixed_point(16)) == RotorState(0, 0, 1)
 
     def test_float64_exact_equality_misses(self):
         # tolerance 0 demands bit-identical doubles; the accumulated sums
@@ -1721,7 +1747,7 @@ class TestInvariants:
                 state = rotor_step(state, x, p, c)
                 # acc stays in [1, p] and congruent to x^exponent
                 assert 1 <= state.acc <= p
-                assert state.acc % p == modpow(x, state.exponent, p)
+                assert state.acc % p == pow(x, state.exponent, p)
                 # this step's wrap count follows the strict-> closed form
                 s = prev_acc * x
                 assert c.subtractions - prev_subs == ((s - 1) // p if s > p else 0)
@@ -1734,7 +1760,7 @@ class TestInvariants:
             p = rng.randrange(3, 500)
             x = rng.randrange(1, p)
             k = rng.randrange(0, p)
-            y = modpow(x, k, p)
+            y = pow(x, k, p)
             if y == 0:
                 continue
             report = rotor_solve_int(DlogInstance(p, x, y))
