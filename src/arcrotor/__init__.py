@@ -5,7 +5,6 @@ instrumentation, independent oracle solvers, and a benchmark harness for
 empirical complexity and precision measurement.
 """
 
-from .counters import OpCounters
 from .numerics import (
     EXACT,
     FLOAT64_DEGREES,
@@ -24,6 +23,7 @@ from .oracles import (
 from .rotor import (
     DlogInstance,
     InvalidInstanceError,
+    OpCounters,
     RotorState,
     SolveReason,
     SolveReport,

@@ -26,11 +26,11 @@ from math import gcd
 
 import numpy as np
 
-from .counters import OpCounters
 from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance
 from .oracles import bsgs_solve, naive_solve
 from .rotor import (
     DlogInstance,
+    OpCounters,
     SolveReason,
     SolveReport,
     _walk_int,
@@ -67,6 +67,7 @@ CSV_COLUMNS = (
 # every n below 318,665,857,834,031,151,167,461 (about 2**78), the least
 # strong pseudoprime to all of them; desk-scale moduli stay far under that.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
@@ -77,8 +78,8 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    if n >= 318_665_857_834_031_151_167_461:
-        raise ValueError(f"n must be below 318665857834031151167461 for is_prime, got {n}")
+    if n >= _MR_BOUND:
+        raise ValueError(f"n must be below {_MR_BOUND} for is_prime, got {n}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -245,6 +246,10 @@ class SweepConfig:
         if not 2 <= self.p_min <= self.p_max:
             raise ValueError(
                 f"p_min must lie in [2, p_max], got p_min={self.p_min}, p_max={self.p_max}"
+            )
+        if self.prime_only and self.p_max >= _MR_BOUND:
+            raise ValueError(
+                f"p_max must be below {_MR_BOUND} for a prime-only sweep, got {self.p_max}"
             )
         if self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")

@@ -26,6 +26,7 @@ from arcrotor import (
     FitResult,
     GeneratedInstance,
     InsufficientDataError,
+    InvalidInstanceError,
     OpCounters,
     ScanBucket,
     ScanReport,
@@ -207,18 +208,41 @@ class TestGenerateInstance:
 
 
 @pytest.mark.parametrize(
-    "cls,names,args",
+    "cls,names,args,change,refused",
     [
+        (
+            DlogInstance,
+            ("p", "x", "y"),
+            (373, 13, 158),
+            ("y", 2),
+            ({"y": 373}, InvalidInstanceError, "^y must satisfy"),
+        ),
+        (
+            SolveReport,
+            ("k", "reason", "counters"),
+            (5, SolveReason.FOUND, OpCounters(52, 23, 6, 4)),
+            ("k", 6),
+            ({"k": None}, ValueError, "^k must be present exactly when the reason is Found"),
+        ),
+        (
+            GeneratedInstance,
+            ("instance", "generating_k"),
+            (DlogInstance(373, 13, 158), 5),
+            ("generating_k", 2),
+            None,
+        ),
         (
             SweepRecord,
             ("p", "x", "y", "k_true", "k_found", "counters", "wall_ns", "correct"),
             (373, 13, 158, 5, 5, OpCounters(52, 23, 6, 4), 123, True),
+            ("x", 2),
+            None,
         ),
-        (GeneratedInstance, ("instance", "generating_k"), (DlogInstance(373, 13, 158), 5)),
     ],
-    ids=["SweepRecord", "GeneratedInstance"],
+    ids=["DlogInstance", "SolveReport", "GeneratedInstance", "SweepRecord"],
 )
-def test_slotted_record_contract(cls, names, args):
+def test_slotted_record_contract(cls, names, args, change, refused):
+    # the slotted, frozen value types with their own __init__
     obj = cls(*args)
     assert cls.__match_args__ == names
     assert tuple(asdict(obj)) == names
@@ -230,15 +254,22 @@ def test_slotted_record_contract(cls, names, args):
             delattr(obj, name)
     by_keyword = cls(**dict(zip(names, args)))
     assert by_keyword == obj
-    if cls is GeneratedInstance:
-        assert hash(by_keyword) == hash(obj)
-    else:  # its OpCounters is mutable, so a record has no hash either way
+    if any(isinstance(arg, OpCounters) for arg in args):
+        # its OpCounters is mutable, so the object has no hash either way
         for twin in (obj, by_keyword):
             with pytest.raises(TypeError):
                 hash(twin)
-    changed = replace(obj, **{names[1]: 2})
-    assert type(changed) is cls and getattr(changed, names[1]) == 2
-    assert replace(changed, **{names[1]: args[1]}) == obj
+    else:
+        assert hash(by_keyword) == hash(obj)
+    name, value = change
+    changed = replace(obj, **{name: value})
+    assert type(changed) is cls and getattr(changed, name) == value
+    assert replace(changed, **{name: getattr(obj, name)}) == obj
+    if refused is not None:
+        # replace builds a new object through __init__, so it is checked again
+        bad, error, message = refused
+        with pytest.raises(error, match=message):
+            replace(obj, **bad)
     for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
         assert type(twin) is cls and twin == obj
 
@@ -288,6 +319,13 @@ class TestRunSweep:
         # a truthy string such as "no" kept primes only
         with pytest.raises(ValueError, match=r"^prime_only must be a bool"):
             SweepConfig(10, 20, 1, 1, prime_only=bad)
+
+    def test_prime_only_p_max_below_the_witnesses_bound(self):
+        bound = 318_665_857_834_031_151_167_461  # the least n that is_prime refuses
+        with pytest.raises(ValueError, match=f"^p_max must be below {bound} for a prime-only"):
+            SweepConfig(bound, bound + 9, 1, 1)
+        assert SweepConfig(2, bound - 1, 1, 1).p_max == bound - 1
+        assert SweepConfig(bound, bound + 9, 1, 1, prime_only=False).p_max == bound + 9
 
     def test_range_of_one(self):
         cfg = SweepConfig(p_min=5, p_max=5, samples_per_p=1, seed=42)

@@ -256,6 +256,18 @@ class TestSweep:
             assert "tolerance" in err
         assert not out_path.exists()
 
+    def test_prime_only_past_the_witnesses_bound_is_usage_error(self, capsys, tmp_path):
+        # is_prime refuses n from 318665857834031151167461 on, so the sweep is refused
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--p-min", "318665857834031151167461", "--p-max", "318665857834031151167470",
+            "--samples", "1", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --p-max must be below 318665857834031151167461")
+        assert not out_path.exists()
+
     def test_unwritable_out_exits_three(self, capsys):
         code, _, err = run_cli(
             capsys,

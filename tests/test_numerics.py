@@ -61,6 +61,11 @@ class TestNumericMode:
         with pytest.raises(ValueError, match="^fixed-point fractional bits must be a whole"):
             fixed_point(bits)
 
+    @pytest.mark.parametrize("kind", ["float64", "exact"])
+    def test_fractional_bits_outside_fixed_point_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"^mode '{kind}' takes no fractional bits"):
+            NumericMode(kind, 8)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             NumericMode("decimal")
@@ -126,6 +131,8 @@ class TestNumericMode:
 
 
 class TestReduceBySubtraction:
+    """The strict-`>` wrap, through a one-step ``rotor_step``."""
+
     def test_two_wraps(self):
         assert wrap_once(730, 360) == (10, 2)
 
@@ -181,7 +188,7 @@ class TestReduceBySubtraction:
         assert subs == ((value - 1) // m if value > m else 0)
 
 
-class TestToApprox:
+class TestInitialProjectedState:
     @pytest.mark.parametrize("p,multiplier", [(360, 1.0), (180, 2.0)])
     def test_round_trip_when_modulus_divides_360(self, p, multiplier):
         # theta = 360/p is exact here, so the float64 projection is too
@@ -191,6 +198,8 @@ class TestToApprox:
 
 
 class TestAnglesEqual:
+    """Tolerance handling of the approximate modes' hit test."""
+
     # With p = 360, theta is exactly one degree (256 raw units in fixed:8),
     # so every accumulator value is a whole number of degrees.
 

@@ -151,6 +151,11 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(13, 373) == 62
         assert 372 % 62 == 0
 
+    @pytest.mark.parametrize("p", [1, 0, -7])
+    def test_modulus_below_two_rejected(self, p):
+        with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {p}"):
+            multiplicative_order(1, p)
+
     def test_not_a_unit(self):
         for p in range(2, 121):
             for x in range(3 * p):
