@@ -27,7 +27,7 @@ from math import gcd
 import numpy as np
 
 from .numerics import EXACT, NumericMode, _check_mode, _whole, check_tolerance
-from .oracles import bsgs_solve, naive_solve
+from .oracles import _BSGS_P_MAX, bsgs_solve, naive_solve
 from .rotor import (
     DlogInstance,
     OpCounters,
@@ -247,10 +247,6 @@ class SweepConfig:
             raise ValueError(
                 f"p_min must lie in [2, p_max], got p_min={self.p_min}, p_max={self.p_max}"
             )
-        if self.prime_only and self.p_max >= _MR_BOUND:
-            raise ValueError(
-                f"p_max must be below {_MR_BOUND} for a prime-only sweep, got {self.p_max}"
-            )
         if self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")
         tolerance = check_solver_options(self.algo, self.mode, self.tolerance)
@@ -292,7 +288,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     Each record's ``correct`` flag compares the solver's answer against the
     oracle's least k (not the generating exponent).  Moduli below 3 are
-    skipped: no instance with base >= 2 exists there.
+    skipped: no instance with base >= 2 exists there.  The first p above
+    2**44 (past the oracle's BSGS table) raises ValueError before it is drawn.
     """
     return list(_sweep_records(cfg))
 
@@ -300,6 +297,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 def _sweep_records(cfg: SweepConfig) -> Iterator[SweepRecord]:
     # The one measurement loop: records in p-ascending, then sample order.
     for p in range(max(cfg.p_min, 3), cfg.p_max + 1):
+        if p > _BSGS_P_MAX:  # least_k's bound, checked before is_prime's far larger one
+            raise ValueError(
+                f"p_max must be at most 2**44 for the bsgs oracle, got p_max={cfg.p_max}"
+            )
         if cfg.prime_only and not is_prime(p):
             continue
         for idx in range(cfg.samples_per_p):
@@ -444,7 +445,8 @@ def precision_scan(
     after the first failing p (completing that p's samples, and generating
     nothing past it); pass ``stop_at_first_failure=False`` for a full failure
     census up to p_max.  p_min must be a whole number (what ``operator.index``
-    takes), and the flag a bool (numpy's too).
+    takes), and the flag a bool (numpy's too).  A scan that reaches a p
+    above 2**44 raises as ``run_sweep`` does.
     """
     if not isinstance(stop_at_first_failure, (bool, np.bool_)):
         raise ValueError(f"stop_at_first_failure must be a bool, got {stop_at_first_failure!r}")

@@ -16,6 +16,8 @@ from math import gcd, isqrt
 from .numerics import _whole
 from .rotor import DlogInstance
 
+_BSGS_P_MAX = 2**44  # ceil(sqrt(p)) would pass 2**22 table entries past it
+
 
 class NotAUnitError(ValueError):
     """Raised when an order is requested for x with gcd(x, p) != 1."""
@@ -55,7 +57,7 @@ def bsgs_solve(inst: DlogInstance) -> int | None:
     p, x, y = inst.p, inst.x, inst.y
     if gcd(x, p) != 1:
         return naive_solve(inst)
-    if p > 2**44:  # ceil(sqrt(p)) would pass 2**22 table entries
+    if p > _BSGS_P_MAX:
         raise ValueError(f"p must be at most 2**44 for the bsgs table, got p={p}")
     m = isqrt(p - 1) + 1
     table: dict[int, int] = {}  # value -> least baby-step index j in [0, m)

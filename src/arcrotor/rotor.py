@@ -501,17 +501,19 @@ def _solve(inst: DlogInstance, walk, start, a, b, wrap) -> SolveReport:
     return SolveReport(k, reason, OpCounters(steps * x, subs, 2 + steps, steps))
 
 
-def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float):
+def _arc_setup(inst: DlogInstance, mode: NumericMode, tolerance: float | None):
     """Kernel, start, hit test and wrap of a float64 or fixed-point arc solve."""
     p, x, y = inst.p, inst.x, inst.y
-    if mode.kind == "float64":
-        try:
-            theta = 360.0 / p
-        except OverflowError:
-            raise ValueError(
-                f"p must be below 2**1024 - 2**970 for the float64 step 360/p, "
-                f"got a {p.bit_length()}-bit p"
-            ) from None
+    try:  # p as a float: the default (None) tolerance 180/p, and float64's step 360/p
+        if tolerance is None:
+            tolerance = default_tolerance(mode, p)
+        theta = 360.0 / p if mode.kind == "float64" else None
+    except (OverflowError, InvalidModulusError):  # inst.p >= 2: past the float range
+        raise ValueError(
+            f"p must be below 2**1024 - 2**970 for the default tolerance 180/p "
+            f"or the float64 step 360/p, got a {p.bit_length()}-bit p"
+        ) from None
+    if theta is not None:
         return _walk_float, x * theta, y * theta, tolerance, 360.0
     # Fixed point rounds only theta and the tolerance; everything after that
     # is exact integer arithmetic on raw units.  Both round in integers: a
@@ -630,12 +632,4 @@ def rotor_solve_real(
         # and y' = y*theta carry numerators x and y, and the 360-degree wrap
         # point is numerator p: the integer field, with no tolerance needed.
         return rotor_solve_int(inst)
-    if tolerance is None:
-        try:
-            tolerance = default_tolerance(mode, inst.p)
-        except InvalidModulusError:  # inst.p >= 2, so p is past the float range
-            raise ValueError(
-                f"p must be below 2**1024 - 2**970 for the default tolerance 180/p, "
-                f"got a {inst.p.bit_length()}-bit p"
-            ) from None
     return _solve(inst, *_arc_setup(inst, mode, tolerance))

@@ -320,12 +320,48 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=r"^prime_only must be a bool"):
             SweepConfig(10, 20, 1, 1, prime_only=bad)
 
-    def test_prime_only_p_max_below_the_witnesses_bound(self):
+    def test_prime_only_past_the_witnesses_bound_refused_at_the_bsgs_bound(self):
+        # the loop refuses every p past 2**44 before is_prime sees it, so a
+        # p_max past is_prime's bound constructs and the sweep is refused
         bound = 318_665_857_834_031_151_167_461  # the least n that is_prime refuses
-        with pytest.raises(ValueError, match=f"^p_max must be below {bound} for a prime-only"):
-            SweepConfig(bound, bound + 9, 1, 1)
+        cfg = SweepConfig(bound, bound + 9, 1, 1)
+        assert cfg.p_max == bound + 9
+        with pytest.raises(ValueError, match=r"^p_max must be at most 2\*\*44"):
+            run_sweep(cfg)
         assert SweepConfig(2, bound - 1, 1, 1).p_max == bound - 1
         assert SweepConfig(bound, bound + 9, 1, 1, prime_only=False).p_max == bound + 9
+
+    def test_p_past_the_bsgs_bound_refused_before_generation(self, monkeypatch):
+        # least_k's BSGS table ends at p = 2**44; a sweep or scan that reached
+        # a p past it raised bsgs_solve's error, which names no field
+        seen = []
+        real_is_prime, real_generate = bench.is_prime, bench.generate_instance
+        monkeypatch.setattr(bench, "is_prime", lambda n: seen.append(n) or real_is_prime(n))
+        monkeypatch.setattr(
+            bench, "generate_instance", lambda p, s: seen.append(p) or real_generate(p, s)
+        )
+        lo, hi = 2**44 + 1, 2**44 + 60
+        runs = [
+            lambda: run_sweep(SweepConfig(lo, hi, 1, 1)),
+            lambda: run_sweep(SweepConfig(lo, hi, 1, 1, prime_only=False)),
+            lambda: precision_scan(fixed_point(16), None, hi, 1, 1, p_min=lo),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match=rf"^p_max must be at most 2\*\*44 .*p_max={hi}$"):
+                run()
+        assert seen == []
+
+    def test_p_at_the_bsgs_bound_reaches_the_oracle(self, monkeypatch):
+        # the bound is inclusive, as bsgs_solve's is
+        oracle = []
+        monkeypatch.setattr(bench, "least_k", lambda inst: oracle.append(inst.p) or 1)
+        monkeypatch.setattr(
+            bench, "solve", lambda *args: SolveReport(1, SolveReason.FOUND, OpCounters())
+        )
+        cfg = SweepConfig(2**44, 2**44, 1, 1, prime_only=False)
+        records = list(bench._sweep_records(cfg))
+        assert oracle == [2**44]
+        assert [(r.p, r.k_true, r.k_found, r.correct) for r in records] == [(2**44, 1, 1, True)]
 
     def test_range_of_one(self):
         cfg = SweepConfig(p_min=5, p_max=5, samples_per_p=1, seed=42)
@@ -616,6 +652,12 @@ class TestPrecisionScan:
         assert report.buckets == wide.buckets
         assert report.total_instances == 2 * (40 - 3 + 1)
 
+
+    def test_scan_stopping_below_the_bsgs_bound_answers_past_it(self):
+        # the sweep loop checks each p it reaches, not p_max
+        report = precision_scan(fixed_point(8), None, 10**30, 3, 1)
+        assert (report.first_failure_p, report.stopped_early) == (11, True)
+        assert report.total_instances == 27
 
     def test_stop_mode_solves_no_modulus_past_the_first_failure(self, monkeypatch):
         solved = []

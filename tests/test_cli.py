@@ -123,11 +123,14 @@ class TestSolve:
         base = ("solve", "--p", str(10**400), "--x", "2", "--y", "1", "--algo", "rotor-real")
         code, out, err = run_cli(capsys, *base, "--mode", mode)
         assert (code, out) == (2, "")
-        assert err.startswith("error: --p must be below 2**1024 - 2**970 for the default tolerance")
+        refusal = (
+            "error: --p must be below 2**1024 - 2**970 for the default tolerance 180/p "
+            "or the float64 step 360/p, got a 1329-bit p\n"
+        )
+        assert err == refusal
         if mode == "float64":
             code, out, err = run_cli(capsys, *base, "--mode", mode, "--tolerance", "0.5")
-            assert (code, out) == (2, "")
-            assert err.startswith("error: --p must be below 2**1024 - 2**970 for the float64 step")
+            assert (code, out, err) == (2, "", refusal)
         else:  # fixed point with a given tolerance needs no float of p
             code, out, err = run_cli(capsys, *base, "--mode", mode, "--tolerance", "0.5")
             assert (code, err) == (0, "")
@@ -256,8 +259,9 @@ class TestSweep:
             assert "tolerance" in err
         assert not out_path.exists()
 
-    def test_prime_only_past_the_witnesses_bound_is_usage_error(self, capsys, tmp_path):
-        # is_prime refuses n from 318665857834031151167461 on, so the sweep is refused
+    def test_prime_only_past_the_witnesses_bound_refused_at_the_bsgs_bound(self, capsys, tmp_path):
+        # is_prime refuses n from 318665857834031151167461 on; the sweep loop
+        # refuses every p past 2**44 before that
         out_path = tmp_path / "s.csv"
         code, out, err = run_cli(
             capsys,
@@ -265,7 +269,24 @@ class TestSweep:
             "--samples", "1", "--out", str(out_path),
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: --p-max must be below 318665857834031151167461")
+        assert err == (
+            "error: --p-max must be at most 2**44 for the bsgs oracle, "
+            "got --p-max 318665857834031151167470\n"
+        )
+        assert not out_path.exists()
+
+    def test_p_past_the_bsgs_bound_is_usage_error(self, capsys, tmp_path):
+        # least_k's BSGS table ends at 2**44; this exited 1 with a traceback
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--p-min", "35184372088832", "--p-max", "35184372088900",
+            "--samples", "1", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --p-max must be at most 2**44 for the bsgs oracle, got --p-max 35184372088900\n"
+        )
         assert not out_path.exists()
 
     def test_unwritable_out_exits_three(self, capsys):
@@ -376,6 +397,20 @@ class TestPrecisionScan:
             capsys, "precision-scan", "--mode", "float64", *flags, "--out", str(out_path)
         )
         assert (code, out, err) == (2, "", message + "\n")
+        assert not out_path.exists()
+
+    def test_p_past_the_bsgs_bound_is_usage_error(self, capsys, tmp_path):
+        # the scan's oracle is least_k, whose BSGS table ends at 2**44
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run_cli(
+            capsys,
+            "precision-scan", "--mode", "fixed:8", "--p-min", "35184372088832",
+            "--p-max", "35184372088900", "--samples", "1", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --p-max must be at most 2**44 for the bsgs oracle, got --p-max 35184372088900\n"
+        )
         assert not out_path.exists()
 
     def test_bad_tolerance_is_usage_error(self, capsys, tmp_path):

@@ -84,7 +84,6 @@ from arcrotor import (  # noqa: E402
     DlogInstance,
     OpCounters,
     RotorState,
-    default_tolerance,
     fixed_point,
     rotor_solve_int,
     rotor_solve_real,
@@ -127,8 +126,7 @@ def _solve_records():
         for mode in MODES:
             for tolerance in TOLERANCES:
                 r = rotor_solve_real(inst, mode, tolerance)
-                tol = default_tolerance(mode, inst.p) if tolerance is None else tolerance
-                _, start, lo, hi, wrap = _arc_setup(inst, mode, tol)
+                _, start, lo, hi, wrap = _arc_setup(inst, mode, tolerance)
                 walk = _walk_int(inst.x, start, lo, hi, wrap, inst.p - 1)
                 yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
 
@@ -151,8 +149,7 @@ def _float_solve_records():
     for inst in _instances():
         for tolerance in TOLERANCES:
             r = rotor_solve_real(inst, FLOAT64_DEGREES, tolerance)
-            tol = default_tolerance(FLOAT64_DEGREES, inst.p) if tolerance is None else tolerance
-            _, start, target, tol, wrap = _arc_setup(inst, FLOAT64_DEGREES, tol)
+            _, start, target, tol, wrap = _arc_setup(inst, FLOAT64_DEGREES, tolerance)
             walk = _walk_float(inst.x, start, target, tol, wrap, inst.p - 1)
             yield _typed([r.k, r.reason.value, *_counters(r.counters), *walk])
 
