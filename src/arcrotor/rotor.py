@@ -184,6 +184,9 @@ _EXACT_INT = 2**53  # every integer of smaller magnitude is a float64
 # run faster on float64 carriers (fixed:24 and fixed:32 scans, x1.7); walks
 # within one digit run faster on ints (the integer field, x0.7 on floats).
 _WIDE_WRAP = 2**30
+# The shortest carrier pass of a walk longer than one pass (wraps below
+# 2**50); _walk_int gives the measured crossover.
+_CARRIER_MIN_PASS = 8
 # A walk runs its first _BLOCK_HEAD steps on the loop, where most solves
 # end, and the rest in numpy blocks of _ORBIT_ROW columns (baby steps) by a
 # doubling number of rows (giant steps).  _BLOCK_VALUES caps the values in
@@ -233,7 +236,11 @@ def _walk_int(
     # chunk * wrap < 2**53.  Each pass resumes at the last value with the
     # same cycle reference, so the passes walk the one loop's steps.  A walk
     # takes carriers when its loop is one pass, or when a pass holds at
-    # least the _BLOCK_HEAD steps of a head; shorter passes stay on ints.
+    # least _CARRIER_MIN_PASS steps; shorter passes stay on ints.  A pass
+    # costs an int() and a few tests, about what a few float steps save:
+    # 50,000-step walks in passes of 2, 3 and 4 steps ran 1.8x, 1.3x and
+    # 1.0x the int time, in passes of 8, 16 and 31 steps 0.79x, 0.66x and
+    # 0.58x (medians; at most 0.96x at 8).
     # Python's float `%` is fmod, always exact, plus a sign fix that
     # non-negative operands never take.  So each float operation equals its
     # int one; acc and the sum go back to int for the blocks and for the
@@ -265,7 +272,7 @@ def _walk_int(
         and 0 <= acc
         and 0 <= x * max(acc, wrap) < _EXACT_INT
         and max(abs(lo), abs(hi), abs(cycle)) < _EXACT_INT
-        and (chunk := (_EXACT_INT - 1) // wrap) >= min(head, _BLOCK_HEAD)
+        and (chunk := (_EXACT_INT - 1) // wrap) >= min(head, _CARRIER_MIN_PASS)
     )
     start, total = acc, 0
     steps, reason, end = 0, _EXHAUSTED, head
@@ -293,7 +300,9 @@ def _walk_int(
         total = 0.0
         if steps == head or reason is not _EXHAUSTED:
             break
-        end = min(end + chunk, head)
+        end += chunk
+        if end > head:
+            end = head
     if wide:
         acc, total, (x, lo, hi, wrap, cycle) = int(acc), summed, ints
         if trail is not None:  # the loop appended `steps` carriers
@@ -476,12 +485,18 @@ def _hit_interval(target, tol, D: int, W: int):
     both sides.  Rounding can add points just beyond them, and each loop
     extends its end over those by that side of the float test itself.
     """
-    tn, td = target.as_integer_ratio()
-    sn, sd = tol.as_integer_ratio()
-    c = max(td, sd)
-    t, s = tn * (c // td), sn * (c // sd)
-    lo = max(-(-(t - s) * D // c), 1)
-    hi = min((t + s) * D // c, W)
+    t, c = target.as_integer_ratio()
+    s, sd = tol.as_integer_ratio()
+    if c < sd:  # both powers of two: the larger is the common denominator
+        t, c = t * (sd // c), sd
+    else:
+        s *= c // sd
+    lo = -(-(t - s) * D // c)
+    hi = (t + s) * D // c
+    if lo < 1:
+        lo = 1
+    if hi > W:
+        hi = W
     while lo > 1 and (lo - 1) / D - target >= -tol:
         lo -= 1
     while hi < W and (hi + 1) / D - target <= tol:

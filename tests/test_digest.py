@@ -5,7 +5,9 @@ trails, the ``walks`` line walks whose hits and ends fall on each side of
 the 64-step head and of the numpy block edges, the ``wide`` line the
 same for wraps from 2**30 to past 2**48, where blocks stop, and the
 ``chunks`` line walks with wraps from 2**45 to 2**47 and bounds up to 320
-steps, which run on float64 carriers in several passes.  The ``cli``
+steps, which run on float64 carriers in several passes, and the ``passes``
+line the same for wraps from 2**47 to (2**53 - 1) // 8, whose passes hold 63
+down to 8 steps.  The ``cli``
 line hashes what a fixed set of command-line calls print, return and write,
 ``wall_ns`` aside.  The ``oracles`` line hashes the answers of
 ``naive_solve``, ``bsgs_solve`` and ``least_k`` on the digest's instances and
@@ -53,6 +55,12 @@ def test_wide_line(solve_digest):
 def test_chunks_line(solve_digest):
     assert solve_digest._digest(solve_digest._chunk_records()) == (
         "3000 sha256 de72602e7c9f778dee125585d7e522313480b541f5cc845ed688472ab4342b29"
+    )
+
+
+def test_passes_line(solve_digest):
+    assert solve_digest._digest(solve_digest._pass_records()) == (
+        "3000 sha256 59b8d62fc8781a3dd048ada6336eae397b2b7f4c48d6b11fcc2d1b43fc6d9406"
     )
 
 

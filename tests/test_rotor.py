@@ -38,6 +38,7 @@ from arcrotor.rotor import (
     _BLOCK_MIN_STEPS,
     _BLOCK_VALUES,
     _BLOCK_WRAP,
+    _CARRIER_MIN_PASS,
     _ORBIT_ROW,
     _arc_setup,
     _hit_interval,
@@ -920,7 +921,7 @@ class TestWideWalk:
             (8, 2**50 - 1, 0, 2**50, 0, 1, False),
             (9, 2**50 - 5, 0, 2**50 - 3, 0, 1, False),
             # max_steps * wrap, where a pass of (2**53 - 1) // wrap steps is
-            # shorter than 64: 8 * wrap = 2**53 - 8 (one pass), then exactly
+            # shorter than 8: 8 * wrap = 2**53 - 8 (one pass), then exactly
             # 2**53, then 9 values of wrap - 2**j whose float running sum
             # would round (passes of 7 steps: ints)
             (2, 2**50 - 2, 0, 2**50 - 1, 0, 8, True),
@@ -928,14 +929,15 @@ class TestWideWalk:
             (2, 2**50 + 2**20, 0, 2**50 + 2**20 + 1, 0, 9, False),
             (3, 2**50 + 2**20, 0, 2**50 + 2**20 + 1, 0, 9, False),
             # a loop longer than one pass: 255 * 2**45 < 2**53, so 256 steps
-            # run in passes of 255 and 1; at 2**47 - 1 in passes of 64; at
-            # 2**47 a pass would hold 63 steps, too short for a 300-step loop
-            # (ints), but not for a 63-step one
+            # run in passes of 255 and 1; at 2**47 - 1 in passes of 64, at
+            # 2**47 of 63, and at (2**53 - 1) // 8 = 2**50 - 1 of 8; at 2**50
+            # a pass would hold 7 steps, too short for a 300-step loop (ints)
             (3, 5, 0, 2**45, 0, 255, True),
             (3, 5, 0, 2**45, 0, 256, True),
             (3, 5, 0, 2**47 - 1, 0, 300, True),
-            (3, 5, 0, 2**47, 0, 300, False),
             (3, 5, 0, 2**47, 0, 63, True),
+            (3, 5, 0, 2**50 - 1, 0, 300, True),
+            (3, 5, 0, 2**50, 0, 300, False),
             # a start below 0 stays on ints; one product past 2**53 would round
             (3, -5, 0, 2**40, 0, 5, False),
             (3, -(2**52 + 1), 0, 2**40, 0, 2, False),
@@ -972,16 +974,16 @@ class TestWideWalk:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_multi_pass_walks_match_literal_walk(self, data):
-        # bounds up to 320 steps run no blocks; a wrap from 2**45 to 2**47 - 1
-        # gives passes of (2**53 - 1) // wrap = 255 down to 64 steps, so these
-        # walks run on carriers in 2 to 5 passes, each resuming where the
+        # bounds up to 320 steps run no blocks; a wrap from 2**45 to 2**50 - 1
+        # gives passes of (2**53 - 1) // wrap = 255 down to 8 steps, so these
+        # walks run on carriers in 2 to 40 passes, each resuming where the
         # last stopped, with the same hit interval and cycle reference.  Most
         # walks of more than two passes sum past 2**53, where one float sum
         # would round.
-        chunk = data.draw(st.integers(_BLOCK_HEAD, 255), label="pass")
+        chunk = data.draw(st.integers(_CARRIER_MIN_PASS, 255), label="pass")
         wrap = data.draw(st.integers((E53 - 1) // (chunk + 1) + 1, (E53 - 1) // chunk), label="wrap")
         max_steps = data.draw(st.integers(chunk + 1, _BLOCK_MIN_STEPS), label="max_steps")
-        x = data.draw(st.integers(2, 12), label="x")
+        x = data.draw(st.integers(2, min(12, chunk)), label="x")  # x * wrap < 2**53
         acc = data.draw(st.integers(1, wrap), label="acc")
         # a value of the walk at any step, or none
         at = st.integers(1, max_steps).map(lambda s: _product_walk(x, acc, 1, 0, wrap, s, 0)[0])
@@ -1339,10 +1341,11 @@ class TestWideBlocks:
         assert report.reason is SolveReason.EXHAUSTED_ITERATIONS
         assert block_calls and float_calls
 
-    @pytest.mark.parametrize("wrap,carried", [(2**47 - 1, True), (2**47, False)])
+    @pytest.mark.parametrize("wrap,carried", [(2**47 - 1, True), (2**48 - 1, True)])
     def test_head_carriers_up_to_the_pass_edge(self, float_calls, block_calls, wrap, carried):
-        # the 64-step head is one pass: carriers while 64 * wrap < 2**53,
-        # ints from wrap = 2**47 on, where a pass would hold 63 steps
+        # the 64-step head is one pass while 64 * wrap < 2**53, and two from
+        # wrap = 2**47 on; below _BLOCK_WRAP = 2**48 a pass holds at least
+        # 32 steps, so every block walk's head runs on carriers
         _checked_block_walk(G, 5, 1, 0, wrap, 2000, [])
         assert block_calls and bool(float_calls) is carried
 
@@ -1490,6 +1493,21 @@ class TestFloatHandoff:
         report = rotor_solve_real(APPENDIX, FLOAT64_DEGREES)
         assert (report.k, report.reason, report.counters) == _literal_float64_solve(APPENDIX, None)
         assert [(c[0], c[4], c[5]) for c in calls] == [(13, 360 * 2**39, 370)]
+
+    def test_solve_hands_off_to_carriers_in_short_passes(self, monkeypatch, float_calls):
+        # 239/7/194 (scan-float64, seed 1) hands off at step 3 to the grid
+        # 1/D with W = 360 * D in [2**49, 2**50): a pass holds 11 steps, and
+        # the hit at k = 185 comes in the 17th pass on float64 carriers
+        calls = []
+        real = _walk_int
+        monkeypatch.setattr("arcrotor.rotor._walk_int", lambda *a: calls.append(a) or real(*a))
+        inst = DlogInstance(239, 7, 194)
+        report = rotor_solve_real(inst, FLOAT64_DEGREES)
+        assert (report.k, report.reason, report.counters) == _literal_float64_solve(inst, None)
+        assert report.k == 185
+        ((_, _, _, _, W, left, *_),) = calls
+        assert 2**49 <= W < 2**50 and (E53 - 1) // W == 11 and left == 236
+        assert float_calls
 
     def test_fold_of_a_cycle_that_misses_the_start(self):
         # One literal step (2**20 + 1 adds) leaves the walk on the grid

@@ -41,7 +41,10 @@ full return, and the trail where one is kept, of 3,000 seeded walks with
 wraps from 2**45 to 2**47 and bounds up to 320 steps, before the block
 entry, whose bound's running sum can pass 2**53: the integer kernel runs
 them on float64 carriers in passes of (2**53 - 1) // wrap steps, with a
-trail or not and with a cycle reference of their own or their start.
+trail or not and with a cycle reference of their own or their start.  The
+``passes`` line does the same for 3,000 walks with wraps from 2**47 to
+(2**53 - 1) // 8, whose passes hold 63 down to 8 steps, the shortest the
+kernel runs on carriers.
 
 The ``cli`` line hashes ``CLI_CALLS``, in-process ``arcrotor.cli.main``
 calls: solve in every algo and mode, verify, sweeps and precision scans in
@@ -231,9 +234,19 @@ def _wide_records():
 
 def _chunk_records():
     # wraps from 2**45 to 2**47, whose passes hold 255 down to 64 steps
-    rng = random.Random(SEED + 5)
+    return _pass_walks(SEED + 5, 2**45, 2**47)
+
+
+def _pass_records():
+    # wraps from 2**47 to (2**53 - 1) // 8, whose passes hold 63 down to 8 steps
+    return _pass_walks(SEED + 6, 2**47, (2**53 - 1) // 8)
+
+
+def _pass_walks(seed, low, high):
+    """3,000 seeded walks with wraps in [low, high] and bounds up to 320 steps."""
+    rng = random.Random(seed)
     for _ in range(3000):
-        wrap = rng.randrange(2**45, 2**47 + 1)
+        wrap = rng.randrange(low, high + 1)
         x = rng.choice((rng.randrange(1, 40), rng.randrange(1, 2**53 // wrap)))
         acc = rng.choice((rng.randrange(1, wrap + 1), rng.randrange(0, 3 * wrap + 1)))
         max_steps = rng.choice(((2**53 - 1) // wrap + 1, 320, rng.randrange(0, 321)))
@@ -357,6 +370,7 @@ def main() -> None:
     print(f"walks {_digest(_walk_records())}")
     print(f"wide {_digest(_wide_records())}")
     print(f"chunks {_digest(_chunk_records())}")
+    print(f"passes {_digest(_pass_records())}")
     print(f"cli {_digest(_cli_records())}")
     print(f"oracles {_digest(_oracle_records())}")
     print(f"generated {_digest(_generated_records())}")
